@@ -39,13 +39,34 @@ std::string NormalizeSql(const std::string& sql) {
 
 std::string AnswerKey(const QueryDescription& description, InferenceMode mode,
                       uint64_t rule_epoch, uint64_t database_epoch) {
-  // The description's string form is canonical for the inference inputs:
-  // it spells out every condition interval and the object types in FROM
-  // order. Epochs version everything else inference reads (rule base,
-  // active domains, data).
-  return "r" + std::to_string(rule_epoch) + "/d" +
-         std::to_string(database_epoch) + "/" + InferenceModeName(mode) +
-         "/" + description.ToString();
+  // Everything inference reads from the query: the object types in FROM
+  // order and each condition's attribute and typed interval. Epochs
+  // version everything else (rule base, active domains, data). Fields
+  // are length-delimited and values type-tagged, so no string constant
+  // can spell another query's conditions, and '3000' is not 3000.
+  std::string key = "r" + std::to_string(rule_epoch) + "/d" +
+                    std::to_string(database_epoch) + "/" +
+                    InferenceModeName(mode) + "/";
+  auto field = [&key](const std::string& text) {
+    key += std::to_string(text.size()) + ":" + text;
+  };
+  auto bound = [&](const std::optional<Value>& value, bool open) {
+    if (!value.has_value()) {
+      key += '*';  // unbounded
+      return;
+    }
+    key += open ? '(' : '[';
+    field(ValueTypeName(value->type()));
+    field(value->ToString());
+  };
+  for (const std::string& type : description.object_types) field(type);
+  key += '/';
+  for (const Clause& condition : description.conditions) {
+    field(condition.attribute());
+    bound(condition.interval().lo(), condition.interval().lo_open());
+    bound(condition.interval().hi(), condition.interval().hi_open());
+  }
+  return key;
 }
 
 std::string QueryCache::StatsText() const {

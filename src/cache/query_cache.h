@@ -62,8 +62,11 @@ struct CachedPlan {
 std::string NormalizeSql(const std::string& sql);
 
 // Cache key of an intensional answer: the canonical predicate (the
-// query description's string form plus the inference mode) versioned by
-// the rule-base and database epochs it was derived under.
+// object types, each condition's attribute, bounds, openness and
+// type-tagged values, all length-delimited, plus the inference mode)
+// versioned by the rule-base and database epochs it was derived under.
+// Built from typed values, not a rendering: a string constant can never
+// spell another query's conditions.
 std::string AnswerKey(const QueryDescription& description, InferenceMode mode,
                       uint64_t rule_epoch, uint64_t database_epoch);
 

@@ -1,9 +1,7 @@
 #include "core/query_processor.h"
 
 #include <chrono>
-#include <map>
 
-#include "common/string_util.h"
 #include "exec/exec_context.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
@@ -24,153 +22,51 @@ int64_t MicrosBetween(std::chrono::steady_clock::time_point from,
   return nanos <= 0 ? 0 : (nanos + 999) / 1000;
 }
 
-// Per-call snapshots of virtual sys.* relations named in FROM, keyed by
-// lowercased name. Describe() consults schemas only, so materializing a
-// snapshot distinct from the executor's is safe: virtual schemas are fixed
-// even though their rows are live.
-using VirtualSnapshots = std::map<std::string, Relation>;
-
-Result<const Relation*> LookupRelation(const Database& db,
-                                       const VirtualSnapshots& virtuals,
-                                       const std::string& name) {
-  auto it = virtuals.find(ToLower(name));
-  if (it != virtuals.end()) return &it->second;
-  return db.Get(name);
-}
-
-// Finds the relation (by real name) owning `ref` among the FROM tables.
-Result<std::pair<std::string, const Relation*>> OwnerTable(
-    const Database& db, const VirtualSnapshots& virtuals,
-    const std::vector<TableRef>& from, const ColumnRef& ref) {
-  if (!ref.qualifier.empty()) {
-    for (const TableRef& table : from) {
-      if (EqualsIgnoreCase(table.effective_name(), ref.qualifier) ||
-          EqualsIgnoreCase(table.name, ref.qualifier)) {
-        IQS_ASSIGN_OR_RETURN(const Relation* rel,
-                             LookupRelation(db, virtuals, table.name));
-        if (!rel->schema().Contains(ref.name)) {
-          return Status::NotFound("table '" + table.name +
-                                  "' has no column '" + ref.name + "'");
-        }
-        return std::make_pair(table.name, rel);
-      }
-    }
-    return Status::NotFound("no FROM table matches qualifier '" +
-                            ref.qualifier + "'");
-  }
-  std::pair<std::string, const Relation*> found{"", nullptr};
-  for (const TableRef& table : from) {
-    IQS_ASSIGN_OR_RETURN(const Relation* rel,
-                         LookupRelation(db, virtuals, table.name));
-    if (rel->schema().Contains(ref.name)) {
-      if (found.second != nullptr) {
-        return Status::InvalidArgument("column '" + ref.name +
-                                       "' is ambiguous in the FROM list");
-      }
-      found = {table.name, rel};
-    }
-  }
-  if (found.second == nullptr) {
-    return Status::NotFound("no FROM table has column '" + ref.name + "'");
-  }
-  return found;
-}
-
-// Coerces a literal operand for a clause over `type`, preserving numeric
-// spellings against CHAR columns.
-Result<Value> CoerceForClause(const SqlOperand& operand, ValueType type) {
-  const Value& v = operand.literal;
-  if (v.is_null() || v.type() == type) return v;
-  if (type == ValueType::kString) {
-    return Value::String(operand.raw.empty() ? v.ToString() : operand.raw);
-  }
-  if (type == ValueType::kReal && v.type() == ValueType::kInt) {
-    return Value::Real(static_cast<double>(v.AsInt()));
-  }
-  if (type == ValueType::kDate && v.type() == ValueType::kString) {
-    return Value::FromText(ValueType::kDate, v.AsString());
-  }
-  return v;  // numeric comparisons across int/real are fine as-is
-}
-
 }  // namespace
 
 Result<QueryDescription> IntensionalQueryProcessor::Describe(
     const SelectStatement& stmt) const {
+  IQS_ASSIGN_OR_RETURN(BoundQuery bound, Bind(stmt, *db_));
+  return Describe(bound);
+}
+
+Result<QueryDescription> IntensionalQueryProcessor::Describe(
+    const BoundQuery& bound) const {
   IQS_SPAN("query.describe");
   QueryDescription description;
-  VirtualSnapshots virtuals;
-  for (const TableRef& table : stmt.from) {
-    if (db_->IsVirtual(table.name) &&
-        virtuals.count(ToLower(table.name)) == 0) {
-      IQS_ASSIGN_OR_RETURN(Relation snapshot,
-                           db_->MaterializeVirtual(table.name));
-      virtuals.emplace(ToLower(table.name), std::move(snapshot));
-    }
+  for (const BoundTable& table : bound.tables) {
+    description.object_types.push_back(table.relation->name());
   }
-  for (const TableRef& table : stmt.from) {
-    IQS_ASSIGN_OR_RETURN(const Relation* rel,
-                         LookupRelation(*db_, virtuals, table.name));
-    description.object_types.push_back(rel->name());
-  }
-  for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
-    if (conjunct->kind == SqlExpr::Kind::kComparison) {
-      // Column-vs-literal restrictions only; joins and literal-vs-literal
-      // comparisons are not answer-set characterizations.
-      const SqlOperand* col = nullptr;
-      const SqlOperand* lit = nullptr;
-      CompareOp op = conjunct->op;
-      if (conjunct->lhs.kind == SqlOperand::Kind::kColumn &&
-          conjunct->rhs.kind == SqlOperand::Kind::kLiteral) {
-        col = &conjunct->lhs;
-        lit = &conjunct->rhs;
-      } else if (conjunct->lhs.kind == SqlOperand::Kind::kLiteral &&
-                 conjunct->rhs.kind == SqlOperand::Kind::kColumn) {
-        col = &conjunct->rhs;
-        lit = &conjunct->lhs;
-        switch (op) {  // mirror the operator
-          case CompareOp::kLt: op = CompareOp::kGt; break;
-          case CompareOp::kLe: op = CompareOp::kGe; break;
-          case CompareOp::kGt: op = CompareOp::kLt; break;
-          case CompareOp::kGe: op = CompareOp::kLe; break;
-          default: break;
-        }
-      } else {
+  // Column-vs-constant restrictions only; joins and literal-vs-literal
+  // comparisons are not answer-set characterizations.
+  for (const BoundConjunct& c : bound.conjuncts) {
+    auto add = [&](Interval interval) {
+      description.conditions.push_back(
+          Clause(bound.tables[c.column.table].ref.name + "." +
+                     bound.attribute(c.column).name,
+                 std::move(interval)));
+    };
+    if (c.kind == BoundConjunct::Kind::kCompare) {
+      // != and LIKE are not one interval; a null constant admits no row.
+      if (c.op == CompareOp::kNe || c.op == CompareOp::kLike ||
+          c.constant.is_null()) {
         continue;
       }
-      if (op == CompareOp::kNe || op == CompareOp::kLike) {
-        continue;  // not a single interval
-      }
-      IQS_ASSIGN_OR_RETURN(
-          auto owner, OwnerTable(*db_, virtuals, stmt.from, col->column));
-      IQS_ASSIGN_OR_RETURN(size_t idx, owner.second->schema().IndexOf(
-                                           col->column.name));
-      ValueType type = owner.second->schema().attribute(idx).type;
-      IQS_ASSIGN_OR_RETURN(Value constant, CoerceForClause(*lit, type));
       IQS_ASSIGN_OR_RETURN(Interval interval,
-                           Interval::FromCompare(op, std::move(constant)));
-      description.conditions.push_back(Clause(
-          owner.first + "." + owner.second->schema().attribute(idx).name,
-          std::move(interval)));
-    } else if (conjunct->kind == SqlExpr::Kind::kBetween) {
-      if (conjunct->lhs.kind != SqlOperand::Kind::kColumn) continue;
-      if (conjunct->low.kind != SqlOperand::Kind::kLiteral ||
-          conjunct->high.kind != SqlOperand::Kind::kLiteral) {
+                           Interval::FromCompare(c.op, c.constant));
+      add(std::move(interval));
+    } else if (c.kind == BoundConjunct::Kind::kBetween) {
+      if (c.constant.is_null() || c.high.is_null()) continue;
+      if (c.constant > c.high) {
+        // A reversed BETWEEN admits no row. Described by its two bounds,
+        // as `>= low AND <= high` is, it lets inference prove that.
+        add(Interval::AtLeast(c.constant));
+        add(Interval::AtMost(c.high));
         continue;
       }
-      IQS_ASSIGN_OR_RETURN(
-          auto owner,
-          OwnerTable(*db_, virtuals, stmt.from, conjunct->lhs.column));
-      IQS_ASSIGN_OR_RETURN(size_t idx, owner.second->schema().IndexOf(
-                                           conjunct->lhs.column.name));
-      ValueType type = owner.second->schema().attribute(idx).type;
-      IQS_ASSIGN_OR_RETURN(Value lo, CoerceForClause(conjunct->low, type));
-      IQS_ASSIGN_OR_RETURN(Value hi, CoerceForClause(conjunct->high, type));
       IQS_ASSIGN_OR_RETURN(Interval interval,
-                           Interval::Closed(std::move(lo), std::move(hi)));
-      description.conditions.push_back(Clause(
-          owner.first + "." + owner.second->schema().attribute(idx).name,
-          std::move(interval)));
+                           Interval::Closed(c.constant, c.high));
+      add(std::move(interval));
     }
   }
   return description;
@@ -352,11 +248,14 @@ Result<QueryResult> IntensionalQueryProcessor::ProcessImpl(
   Clock::time_point t1 = Clock::now();
   result.stats.parse_micros = MicrosBetween(t0, t1);
 
-  // The description is derived from the statement AS PARSED, before any
-  // semantic rewrite: the intensional answer characterizes the query the
-  // user asked, and must not shift when the optimizer drops a conjunct
-  // the rules imply.
-  IQS_ASSIGN_OR_RETURN(result.description, Describe(result.statement));
+  // One binding feeds Describe, the rewrite and the scan, so the
+  // intensional answer reasons over the same typed constants the
+  // executor compares. The description is derived from the statement AS
+  // PARSED, before any semantic rewrite: the intensional answer
+  // characterizes the query the user asked, and must not shift when the
+  // optimizer drops a conjunct the rules imply.
+  IQS_ASSIGN_OR_RETURN(BoundQuery bound, Bind(result.statement, *db_));
+  IQS_ASSIGN_OR_RETURN(result.description, Describe(bound));
   Clock::time_point td = Clock::now();
   result.stats.describe_micros = MicrosBetween(t1, td);
 
@@ -390,7 +289,7 @@ Result<QueryResult> IntensionalQueryProcessor::ProcessImpl(
       IQS_COUNTER_INC("sqo.plan_rewrites_reused");
     } else {
       Result<RewritePlan> fresh =
-          optimizer_.Rewrite(result.statement, *rules, sqo, *db_, engine_);
+          optimizer_.Rewrite(bound, *rules, sqo, engine_);
       if (fresh.ok()) {
         rewrite = std::move(fresh).value();
         // Cache the rewritten plan under this version — and only while
@@ -448,17 +347,21 @@ Result<QueryResult> IntensionalQueryProcessor::ProcessImpl(
   // giving up — without it there is nothing worth degrading to. A plan
   // with a proven-empty (or intensional-only) answer still runs the
   // pipeline shape over zero rows, so the output schema is identical to
-  // a real scan that found nothing.
-  const SelectStatement& exec_stmt =
-      rewrite.has_value() ? rewrite->statement : result.statement;
+  // a real scan that found nothing. A rewritten statement is bound
+  // afresh, through the same Bind.
+  std::optional<BoundQuery> rebound;
+  if (rewrite.has_value()) {
+    IQS_ASSIGN_OR_RETURN(rebound, Bind(rewrite->statement, *db_));
+  }
+  const BoundQuery& exec_bound = rebound.has_value() ? *rebound : bound;
   const bool skip_scan = rewrite.has_value() && rewrite->skip_scan();
   int attempts = 0;
   Result<Relation> extensional = fault::RetryTransientResult<Relation>(
       "exec.scan", /*max_attempts=*/3,
-      [this, &exec_stmt, skip_scan, &attempts]() {
+      [this, &exec_bound, skip_scan, &attempts]() {
         ++attempts;
-        return skip_scan ? executor_.ExecuteSchemaOnly(exec_stmt)
-                         : executor_.Execute(exec_stmt);
+        return skip_scan ? executor_.ExecuteSchemaOnly(exec_bound)
+                         : executor_.Execute(exec_bound);
       });
   if (!extensional.ok()) return extensional.status();
   result.extensional = std::move(extensional).value();

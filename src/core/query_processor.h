@@ -108,11 +108,14 @@ class IntensionalQueryProcessor {
   Result<QueryResult> ProcessWith(const std::string& sql, InferenceMode mode,
                                   const RuleSet& rules) const;
 
-  // Derives the inference-facing description of a parsed query: each
-  // top-level conjunct comparing a column with a literal (or BETWEEN)
+  // Derives the inference-facing description of a bound query: each
+  // top-level conjunct comparing a column with a constant (or BETWEEN)
   // becomes an interval clause over "<Relation>.<attr>" (aliases resolved
-  // to relation names); join conditions and non-conjunctive structure are
-  // omitted — they shape the view, not the restriction.
+  // to relation names), with the constants the executor compares; join
+  // conditions and non-conjunctive structure are omitted — they shape
+  // the view, not the restriction.
+  Result<QueryDescription> Describe(const BoundQuery& bound) const;
+  // Binds `stmt` against the database first.
   Result<QueryDescription> Describe(const SelectStatement& stmt) const;
 
   // Fraction of extensional-answer rows satisfying every resolvable range

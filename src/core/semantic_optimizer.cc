@@ -15,82 +15,17 @@ namespace iqs {
 
 namespace {
 
-std::string AttrBaseName(const std::string& attribute) {
-  size_t pos = attribute.rfind('.');
-  return pos == std::string::npos ? attribute : attribute.substr(pos + 1);
-}
-
-// Mirrors the executor's literal coercion (numeric literals against CHAR
-// columns keep their spelling, int widens to real, strings parse as
-// dates) so the rewrite reasons over exactly the values the scan would
-// compare.
-Result<Value> CoerceForColumn(const Value& literal, const std::string& raw,
-                              ValueType type) {
-  if (literal.is_null()) return literal;
-  if (literal.type() == type) return literal;
-  switch (type) {
-    case ValueType::kString:
-      return Value::String(raw.empty() ? literal.ToString() : raw);
-    case ValueType::kReal:
-      if (literal.type() == ValueType::kInt) {
-        return Value::Real(static_cast<double>(literal.AsInt()));
-      }
-      break;
-    case ValueType::kInt:
-      if (literal.type() == ValueType::kReal) return literal;
-      if (literal.type() == ValueType::kString) {
-        return Value::FromText(ValueType::kInt, literal.AsString());
-      }
-      break;
-    case ValueType::kDate:
-      if (literal.type() == ValueType::kString) {
-        return Value::FromText(ValueType::kDate, literal.AsString());
-      }
-      break;
-    default:
-      break;
-  }
-  return Status::TypeError("uncoercible literal");
-}
-
-// A column resolved to its owning FROM entry and schema slot, the way the
-// executor's bind step would resolve it: qualified refs match the entry's
-// effective name (alias wins); unqualified refs must resolve in exactly
-// one entry.
-struct ColumnSite {
-  size_t table = 0;
-  size_t column = 0;
-};
-
-std::optional<ColumnSite> ResolveSite(const Database& db,
-                                      const std::vector<TableRef>& from,
-                                      const ColumnRef& ref) {
-  std::optional<ColumnSite> found;
-  for (size_t i = 0; i < from.size(); ++i) {
-    if (!ref.qualifier.empty() &&
-        !EqualsIgnoreCase(ref.qualifier, from[i].effective_name())) {
-      continue;
-    }
-    Result<const Relation*> rel = db.Get(from[i].name);
-    if (!rel.ok()) return std::nullopt;  // executor will error identically
-    Result<size_t> idx = (*rel)->schema().IndexOf(ref.name);
-    if (!idx.ok()) continue;
-    if (found.has_value()) return std::nullopt;  // ambiguous
-    found = ColumnSite{i, *idx};
-  }
-  return found;
-}
-
 bool NumericType(ValueType t) {
   return t == ValueType::kInt || t == ValueType::kReal;
 }
 
 // A top-level WHERE conjunct as the optimizer understands it. `safe`
-// means the conjunct cannot raise at bind or eval time (columns resolve,
-// literals coerce, compared domains are comparable) — the precondition
-// for any rewrite of the statement. `recognized` additionally means the
-// conjunct restricts one column to one interval.
-struct BoundConjunct {
+// means the conjunct cannot raise at eval time (binding already proved
+// its columns resolve and its constants coerce; compared domains must
+// also be comparable) — the precondition for any rewrite of the
+// statement. `recognized` additionally means the conjunct restricts one
+// column to one nonempty interval.
+struct Conjunct {
   const SqlExpr* expr = nullptr;
   bool safe = false;
   bool recognized = false;
@@ -101,98 +36,39 @@ struct BoundConjunct {
   std::vector<int> family_ids;      // ids of those families' rules
 };
 
-BoundConjunct Classify(const Database& db, const std::vector<TableRef>& from,
-                       const SqlExpr* expr) {
-  BoundConjunct b;
-  b.expr = expr;
-  if (expr->kind == SqlExpr::Kind::kComparison) {
-    if (expr->lhs.kind == SqlOperand::Kind::kColumn &&
-        expr->rhs.kind == SqlOperand::Kind::kColumn) {
-      // Join / column-column comparison: safe when both sides resolve to
-      // comparable domains (ApplyCompare never errors then).
-      std::optional<ColumnSite> l = ResolveSite(db, from, expr->lhs.column);
-      std::optional<ColumnSite> r = ResolveSite(db, from, expr->rhs.column);
-      if (!l.has_value() || !r.has_value()) return b;
-      ValueType lt =
-          (*db.Get(from[l->table].name))->schema().attribute(l->column).type;
-      ValueType rt =
-          (*db.Get(from[r->table].name))->schema().attribute(r->column).type;
-      if (lt == rt || (NumericType(lt) && NumericType(rt))) b.safe = true;
-      return b;
-    }
-    const SqlOperand* col = nullptr;
-    const SqlOperand* lit = nullptr;
-    CompareOp op = expr->op;
-    if (expr->lhs.kind == SqlOperand::Kind::kColumn &&
-        expr->rhs.kind == SqlOperand::Kind::kLiteral) {
-      col = &expr->lhs;
-      lit = &expr->rhs;
-    } else if (expr->rhs.kind == SqlOperand::Kind::kColumn &&
-               expr->lhs.kind == SqlOperand::Kind::kLiteral) {
-      col = &expr->rhs;
-      lit = &expr->lhs;
-      switch (op) {  // mirror
-        case CompareOp::kLt: op = CompareOp::kGt; break;
-        case CompareOp::kLe: op = CompareOp::kGe; break;
-        case CompareOp::kGt: op = CompareOp::kLt; break;
-        case CompareOp::kGe: op = CompareOp::kLe; break;
-        default: break;
-      }
-    } else {
-      return b;  // literal-literal: could TypeError at eval
-    }
-    std::optional<ColumnSite> site = ResolveSite(db, from, col->column);
-    if (!site.has_value()) return b;
-    const Relation& rel = **db.Get(from[site->table].name);
-    const AttributeDef& def = rel.schema().attribute(site->column);
-    Result<Value> coerced = CoerceForColumn(lit->literal, lit->raw, def.type);
-    if (!coerced.ok()) return b;
-    if (coerced->is_null()) {
-      b.safe = true;  // null comparisons are false, never an error
-      return b;
-    }
-    if (op == CompareOp::kNe || op == CompareOp::kLike) {
-      b.safe = true;  // total but not interval-representable
-      return b;
-    }
-    Result<Interval> interval = Interval::FromCompare(op, *coerced);
-    if (!interval.ok()) {
-      b.safe = true;
-      return b;
-    }
-    b.safe = true;
-    b.recognized = true;
-    b.table = site->table;
-    b.attribute = def.name;
-    b.interval = *interval;
+Conjunct Classify(const BoundQuery& bound, const BoundConjunct& c) {
+  Conjunct b;
+  b.expr = c.expr;
+  if (c.kind == BoundConjunct::Kind::kOther) {
+    return b;  // OR / NOT / literal-literal: not analyzed, may error
+  }
+  if (c.kind == BoundConjunct::Kind::kColumns) {
+    // Join / column-column comparison: safe when both sides have
+    // comparable domains (ApplyCompare never errors then).
+    b.safe = c.column.type == c.other.type ||
+             (NumericType(c.column.type) && NumericType(c.other.type));
     return b;
   }
-  if (expr->kind == SqlExpr::Kind::kBetween) {
-    if (expr->lhs.kind != SqlOperand::Kind::kColumn ||
-        expr->low.kind != SqlOperand::Kind::kLiteral ||
-        expr->high.kind != SqlOperand::Kind::kLiteral) {
-      return b;
-    }
-    std::optional<ColumnSite> site = ResolveSite(db, from, expr->lhs.column);
-    if (!site.has_value()) return b;
-    const Relation& rel = **db.Get(from[site->table].name);
-    const AttributeDef& def = rel.schema().attribute(site->column);
-    Result<Value> lo = CoerceForColumn(expr->low.literal, expr->low.raw,
-                                       def.type);
-    Result<Value> hi = CoerceForColumn(expr->high.literal, expr->high.raw,
-                                       def.type);
-    if (!lo.ok() || !hi.ok()) return b;
-    b.safe = true;
-    if (lo->is_null() || hi->is_null() || *lo > *hi) return b;  // empty/false
-    Result<Interval> interval = Interval::Closed(*lo, *hi);
-    if (!interval.ok()) return b;
-    b.recognized = true;
-    b.table = site->table;
-    b.attribute = def.name;
-    b.interval = *interval;
-    return b;
+  // Column against constants the binder coerced to its domain: total
+  // (a null constant compares false).
+  b.safe = true;
+  const bool between = c.kind == BoundConjunct::Kind::kBetween;
+  if (c.constant.is_null()) return b;
+  if (between && (c.high.is_null() || c.constant > c.high)) {
+    return b;  // admits no row
   }
-  return b;  // OR / NOT subtrees: not analyzed, may error at eval
+  if (!between && (c.op == CompareOp::kNe || c.op == CompareOp::kLike)) {
+    return b;  // not interval-representable
+  }
+  Result<Interval> interval = between
+                                  ? Interval::Closed(c.constant, c.high)
+                                  : Interval::FromCompare(c.op, c.constant);
+  if (!interval.ok()) return b;
+  b.recognized = true;
+  b.table = c.column.table;
+  b.attribute = bound.attribute(c.column).name;
+  b.interval = *interval;
+  return b;
 }
 
 }  // namespace
@@ -270,21 +146,33 @@ std::vector<ImpliedCondition> SemanticOptimizer::Derive(
 Result<RewritePlan> SemanticOptimizer::Rewrite(
     const SelectStatement& stmt, const RuleSet& rules, SqoMode mode,
     const Database& db, const InferenceEngine& engine) const {
+  Result<BoundQuery> bound = Bind(stmt, db);
+  if (!bound.ok()) {
+    RewritePlan plan;  // declined: the executor reports the bind error
+    plan.statement = stmt;
+    return plan;
+  }
+  return Rewrite(*bound, rules, mode, engine);
+}
+
+Result<RewritePlan> SemanticOptimizer::Rewrite(
+    const BoundQuery& query, const RuleSet& rules, SqoMode mode,
+    const InferenceEngine& engine) const {
   IQS_SPAN("optimizer.rewrite");
   IQS_COUNTER_INC("optimizer.rewrite.count");
+  const SelectStatement& stmt = *query.statement;
   RewritePlan plan;
   plan.statement = stmt;
   if (mode == SqoMode::kOff || stmt.where == nullptr) return plan;
-  for (const TableRef& ref : stmt.from) {
-    if (db.IsVirtual(ref.name)) return plan;  // sys.* snapshots have no rules
+  for (const BoundTable& table : query.tables) {
+    if (table.is_virtual()) return plan;  // sys.* snapshots have no rules
   }
 
-  std::vector<const SqlExpr*> conjuncts = TopLevelConjuncts(stmt.where.get());
-  std::vector<BoundConjunct> bound;
-  bound.reserve(conjuncts.size());
+  std::vector<Conjunct> bound;
+  bound.reserve(query.conjuncts.size());
   bool all_safe = true;
-  for (const SqlExpr* expr : conjuncts) {
-    bound.push_back(Classify(db, stmt.from, expr));
+  for (const BoundConjunct& c : query.conjuncts) {
+    bound.push_back(Classify(query, c));
     all_safe = all_safe && bound.back().safe;
   }
   // Every rewrite changes which rows get loaded or evaluated, so the pass
@@ -314,16 +202,14 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
     auto it = null_cache.find(key);
     if (it != null_cache.end()) return it->second;
     bool nullable = true;
-    Result<const Relation*> rel = db.Get(stmt.from[table].name);
-    if (rel.ok()) {
-      Result<size_t> idx = (*rel)->schema().IndexOf(attr);
-      if (idx.ok()) {
-        nullable = false;
-        for (const Tuple& row : (*rel)->rows()) {
-          if (row.at(*idx).is_null()) {
-            nullable = true;
-            break;
-          }
+    const Relation& rel = *query.tables[table].relation;
+    Result<size_t> idx = rel.schema().IndexOf(attr);
+    if (idx.ok()) {
+      nullable = false;
+      for (const Tuple& row : rel.rows()) {
+        if (row.at(*idx).is_null()) {
+          nullable = true;
+          break;
         }
       }
     }
@@ -332,7 +218,7 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
   };
 
   for (size_t ci = 0; ci < n && !plan.proven_empty; ++ci) {
-    BoundConjunct& seed = bound[ci];
+    Conjunct& seed = bound[ci];
     if (!seed.recognized || eliminated[ci] || !seed.interval.IsPoint()) {
       continue;
     }
@@ -383,7 +269,7 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
         IQS_COUNTER_INC("optimizer.incomplete_families");
         continue;
       }
-      std::string x_base = AttrBaseName(family.x_attr);
+      std::string x_base = BaseName(family.x_attr);
       if (SameAttribute(family.x_attr, seed.attribute,
                         AttributeMatch::kBaseName)) {
         continue;  // vacuous self-restriction
@@ -418,7 +304,7 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
       // over X on the same FROM entry.
       for (size_t di = 0; di < n && !plan.proven_empty; ++di) {
         if (di == ci || eliminated[di]) continue;
-        const BoundConjunct& other = bound[di];
+        const Conjunct& other = bound[di];
         if (!other.recognized || other.table != seed.table) continue;
         if (!SameAttribute(other.attribute, x_base,
                            AttributeMatch::kBaseName)) {
@@ -467,11 +353,10 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
       if (!hull.has_value()) continue;
       auto key = std::make_pair(seed.table, ToLower(x_base));
       if (narrowed.count(key) > 0) continue;
-      Result<const Relation*> rel = db.Get(owner.name);
-      if (!rel.ok()) continue;
-      Result<size_t> xi = (*rel)->schema().IndexOf(x_base);
+      const Schema& owner_schema = query.tables[seed.table].relation->schema();
+      Result<size_t> xi = owner_schema.IndexOf(x_base);
       if (!xi.ok()) continue;
-      const AttributeDef& x_def = (*rel)->schema().attribute(*xi);
+      const AttributeDef& x_def = owner_schema.attribute(*xi);
       bool already_tight = false;
       for (size_t di = 0; di < n; ++di) {
         if (eliminated[di] || !bound[di].recognized) continue;
@@ -541,7 +426,7 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
     std::vector<SqlExprPtr> kept;
     for (size_t i = 0; i < n; ++i) {
       if (!eliminated[i]) {
-        kept.push_back(std::make_shared<SqlExpr>(*conjuncts[i]));
+        kept.push_back(std::make_shared<SqlExpr>(*bound[i].expr));
       }
     }
     kept.insert(kept.end(), narrows.begin(), narrows.end());

@@ -7,6 +7,7 @@
 #include "dictionary/data_dictionary.h"
 #include "inference/engine.h"
 #include "relational/database.h"
+#include "sql/binder.h"
 #include "sql/sqo_rewrite.h"
 
 namespace iqs {
@@ -74,6 +75,15 @@ class SemanticOptimizer {
   // induction); and a conjunct whose implication was used is pinned
   // against elimination (mutual implications cannot drop both sides).
   // An unchanged statement comes back as a RewritePlan with no steps.
+  // The pass reads `query`'s binding — the FROM entries, column types
+  // and typed constants the executor uses — and never resolves a name
+  // itself.
+  Result<RewritePlan> Rewrite(const BoundQuery& query, const RuleSet& rules,
+                              SqoMode mode,
+                              const InferenceEngine& engine) const;
+
+  // Binds `stmt` against `db` first. A statement that does not bind
+  // comes back unchanged; executing it reports the error.
   Result<RewritePlan> Rewrite(const SelectStatement& stmt,
                               const RuleSet& rules, SqoMode mode,
                               const Database& db,

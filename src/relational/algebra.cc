@@ -269,21 +269,6 @@ Result<Relation> GroupCount(const Relation& input,
 
 namespace {
 
-CompareOp MirrorOp(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt:
-      return CompareOp::kGt;
-    case CompareOp::kLe:
-      return CompareOp::kGe;
-    case CompareOp::kGt:
-      return CompareOp::kLt;
-    case CompareOp::kGe:
-      return CompareOp::kLe;
-    default:
-      return op;  // kEq/kNe are symmetric; kLike is never mirrored
-  }
-}
-
 // In-order AND flattening; matches AndPredicate::Eval's left-to-right,
 // short-circuiting leaf evaluation order.
 void FlattenAnd(const PredicatePtr& pred, std::vector<PredicatePtr>* leaves) {

@@ -22,6 +22,21 @@ const char* CompareOpSymbol(CompareOp op) {
   return "?";
 }
 
+CompareOp MirrorOp(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    default:
+      return op;  // kEq/kNe are symmetric; kLike is never mirrored
+  }
+}
+
 namespace {
 
 // Bytes occupied by the UTF-8 code point starting at text[t]: the lead

@@ -27,6 +27,9 @@ enum class CompareOp {
 
 const char* CompareOpSymbol(CompareOp op);
 
+// The operator of the swapped comparison: `5 < x` is `x > 5`.
+CompareOp MirrorOp(CompareOp op);
+
 // SQL LIKE semantics: does `text` match `pattern`? Text is treated as
 // UTF-8: '_' consumes one code point, not one byte (a malformed byte
 // counts as one character).
@@ -124,6 +127,9 @@ class OrPredicate : public Predicate {
   Result<bool> Eval(const Tuple& tuple) const override;
   std::string ToString(const Schema* schema) const override;
 
+  const PredicatePtr& lhs() const { return lhs_; }
+  const PredicatePtr& rhs() const { return rhs_; }
+
  private:
   PredicatePtr lhs_;
   PredicatePtr rhs_;
@@ -134,6 +140,8 @@ class NotPredicate : public Predicate {
   explicit NotPredicate(PredicatePtr inner) : inner_(std::move(inner)) {}
   Result<bool> Eval(const Tuple& tuple) const override;
   std::string ToString(const Schema* schema) const override;
+
+  const PredicatePtr& inner() const { return inner_; }
 
  private:
   PredicatePtr inner_;

@@ -19,71 +19,6 @@ namespace iqs {
 
 thread_local SqlExecutor::ExecutionStats SqlExecutor::stats_;
 
-namespace {
-
-std::string BaseName(const std::string& attribute) {
-  size_t pos = attribute.rfind('.');
-  return pos == std::string::npos ? attribute : attribute.substr(pos + 1);
-}
-
-// Coerces `literal` for comparison against a column of type `type`.
-Result<Value> CoerceLiteral(const Value& literal, const std::string& raw,
-                            ValueType type) {
-  if (literal.is_null()) return literal;
-  if (literal.type() == type) return literal;
-  switch (type) {
-    case ValueType::kString:
-      // Numeric literal against a CHAR column: keep the spelling.
-      return Value::String(raw.empty() ? literal.ToString() : raw);
-    case ValueType::kReal:
-      if (literal.type() == ValueType::kInt) {
-        return Value::Real(static_cast<double>(literal.AsInt()));
-      }
-      break;
-    case ValueType::kInt:
-      if (literal.type() == ValueType::kReal) return literal;  // numeric cmp ok
-      if (literal.type() == ValueType::kString) {
-        return Value::FromText(ValueType::kInt, literal.AsString());
-      }
-      break;
-    case ValueType::kDate:
-      if (literal.type() == ValueType::kString) {
-        return Value::FromText(ValueType::kDate, literal.AsString());
-      }
-      break;
-    default:
-      break;
-  }
-  return Status::TypeError("cannot compare a " +
-                           std::string(ValueTypeName(literal.type())) +
-                           " literal with a " + ValueTypeName(type) +
-                           " column");
-}
-
-}  // namespace
-
-Result<size_t> SqlExecutor::ResolveColumn(const Schema& schema,
-                                          const ColumnRef& ref) {
-  if (!ref.qualifier.empty()) {
-    std::string full = ref.qualifier + "." + ref.name;
-    return schema.IndexOf(full);
-  }
-  size_t found = schema.size();
-  for (size_t i = 0; i < schema.size(); ++i) {
-    if (EqualsIgnoreCase(BaseName(schema.attribute(i).name), ref.name)) {
-      if (found != schema.size()) {
-        return Status::InvalidArgument("column '" + ref.name +
-                                       "' is ambiguous");
-      }
-      found = i;
-    }
-  }
-  if (found == schema.size()) {
-    return Status::NotFound("no column named '" + ref.name + "'");
-  }
-  return found;
-}
-
 Relation SqlExecutor::QualifyFor(const Relation& relation,
                                  const std::string& effective_name) {
   std::vector<AttributeDef> attrs = relation.schema().attributes();
@@ -96,12 +31,8 @@ Relation SqlExecutor::QualifyFor(const Relation& relation,
   return out;
 }
 
-Result<Relation> SqlExecutor::JoinOn(const Relation& left,
-                                     const std::string& left_col,
-                                     const Relation& right,
-                                     const std::string& right_col) {
-  IQS_ASSIGN_OR_RETURN(size_t li, left.schema().IndexOf(left_col));
-  IQS_ASSIGN_OR_RETURN(size_t ri, right.schema().IndexOf(right_col));
+Result<Relation> SqlExecutor::JoinOn(const Relation& left, size_t li,
+                                     const Relation& right, size_t ri) {
   std::vector<AttributeDef> attrs = left.schema().attributes();
   attrs.insert(attrs.end(), right.schema().attributes().begin(),
                right.schema().attributes().end());
@@ -137,81 +68,35 @@ Result<Relation> SqlExecutor::JoinOn(const Relation& left,
   return out;
 }
 
-Result<ExprPtr> SqlExecutor::BindOperand(const Schema& schema,
-                                         const SqlOperand& operand,
-                                         const SqlOperand& other) {
-  if (operand.kind == SqlOperand::Kind::kColumn) {
-    IQS_ASSIGN_OR_RETURN(size_t idx, ResolveColumn(schema, operand.column));
-    return MakeColumn(idx);
-  }
-  // Literal: coerce to the other side's column type when applicable.
-  Value v = operand.literal;
-  if (other.kind == SqlOperand::Kind::kColumn) {
-    IQS_ASSIGN_OR_RETURN(size_t idx, ResolveColumn(schema, other.column));
-    IQS_ASSIGN_OR_RETURN(
-        v, CoerceLiteral(v, operand.raw, schema.attribute(idx).type));
-  }
-  return MakeConstant(std::move(v));
-}
-
-Result<PredicatePtr> SqlExecutor::BindExpr(const Schema& schema,
-                                           const SqlExpr& expr) {
-  switch (expr.kind) {
-    case SqlExpr::Kind::kComparison: {
-      IQS_ASSIGN_OR_RETURN(ExprPtr lhs,
-                           BindOperand(schema, expr.lhs, expr.rhs));
-      IQS_ASSIGN_OR_RETURN(ExprPtr rhs,
-                           BindOperand(schema, expr.rhs, expr.lhs));
-      return MakeCompare(expr.op, std::move(lhs), std::move(rhs));
-    }
-    case SqlExpr::Kind::kBetween: {
-      IQS_ASSIGN_OR_RETURN(ExprPtr col1,
-                           BindOperand(schema, expr.lhs, expr.low));
-      IQS_ASSIGN_OR_RETURN(ExprPtr lo, BindOperand(schema, expr.low, expr.lhs));
-      IQS_ASSIGN_OR_RETURN(ExprPtr col2,
-                           BindOperand(schema, expr.lhs, expr.high));
-      IQS_ASSIGN_OR_RETURN(ExprPtr hi,
-                           BindOperand(schema, expr.high, expr.lhs));
-      return MakeAnd(MakeCompare(CompareOp::kGe, std::move(col1), std::move(lo)),
-                     MakeCompare(CompareOp::kLe, std::move(col2),
-                                 std::move(hi)));
-    }
-    case SqlExpr::Kind::kAnd: {
-      IQS_ASSIGN_OR_RETURN(PredicatePtr l, BindExpr(schema, *expr.left));
-      IQS_ASSIGN_OR_RETURN(PredicatePtr r, BindExpr(schema, *expr.right));
-      return MakeAnd(std::move(l), std::move(r));
-    }
-    case SqlExpr::Kind::kOr: {
-      IQS_ASSIGN_OR_RETURN(PredicatePtr l, BindExpr(schema, *expr.left));
-      IQS_ASSIGN_OR_RETURN(PredicatePtr r, BindExpr(schema, *expr.right));
-      return MakeOr(std::move(l), std::move(r));
-    }
-    case SqlExpr::Kind::kNot: {
-      IQS_ASSIGN_OR_RETURN(PredicatePtr inner, BindExpr(schema, *expr.left));
-      return MakeNot(std::move(inner));
-    }
-  }
-  return Status::Internal("unreachable SQL expression kind");
-}
-
 Result<Relation> SqlExecutor::Execute(const SelectStatement& stmt) const {
-  return ExecuteMeasured(stmt, /*schema_only=*/false);
+  IQS_ASSIGN_OR_RETURN(BoundQuery bound, Bind(stmt, *db_));
+  return Execute(bound);
+}
+
+Result<Relation> SqlExecutor::Execute(const BoundQuery& bound) const {
+  return ExecuteMeasured(bound, /*schema_only=*/false);
 }
 
 Result<Relation> SqlExecutor::ExecuteSchemaOnly(
     const SelectStatement& stmt) const {
-  IQS_COUNTER_INC("sql.execute.schema_only");
-  return ExecuteMeasured(stmt, /*schema_only=*/true);
+  IQS_ASSIGN_OR_RETURN(BoundQuery bound, Bind(stmt, *db_));
+  return ExecuteSchemaOnly(bound);
 }
 
-Result<Relation> SqlExecutor::ExecuteMeasured(const SelectStatement& stmt,
+Result<Relation> SqlExecutor::ExecuteSchemaOnly(
+    const BoundQuery& bound) const {
+  IQS_COUNTER_INC("sql.execute.schema_only");
+  return ExecuteMeasured(bound, /*schema_only=*/true);
+}
+
+Result<Relation> SqlExecutor::ExecuteMeasured(const BoundQuery& bound,
                                               bool schema_only) const {
   IQS_SPAN("sql.execute");
   IQS_COUNTER_INC("sql.execute.count");
   IQS_FAILPOINT("exec.scan");
   auto start = std::chrono::steady_clock::now();
   stats_ = ExecutionStats();
-  Result<Relation> result = ExecuteInternal(stmt, schema_only);
+  Result<Relation> result = ExecuteInternal(bound, schema_only);
   int64_t micros = std::chrono::duration_cast<std::chrono::microseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();
@@ -237,20 +122,14 @@ Result<Relation> SqlExecutor::ExecuteMeasured(const SelectStatement& stmt,
   return result;
 }
 
-Result<bool> SqlExecutor::TryColumnarScan(const TableRef& ref,
-                                          const SelectStatement& stmt,
+Result<bool> SqlExecutor::TryColumnarScan(const BoundQuery& bound,
                                           Relation* qualified) const {
   Result<std::shared_ptr<const ColumnarRelation>> snap =
-      db_->ColumnarSnapshot(ref.name);
+      db_->ColumnarSnapshot(bound.tables[0].ref.name);
   if (!snap.ok()) return false;  // relation vanished: let the row path report
-  // Single-table binding happens against the qualified schema, whose
-  // attribute order matches the base relation — so bound column indexes
-  // address the snapshot's columns directly. A bind error here is the
-  // same error the row path would surface (nothing can fail in between
-  // for a one-table FROM).
-  IQS_ASSIGN_OR_RETURN(PredicatePtr pred,
-                       BindExpr(qualified->schema(), *stmt.where));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, **snap);
+  // A one-table layout matches the base relation's attribute order, so
+  // bound column slots address the snapshot's columns directly.
+  ExtractedConjuncts split = ExtractColumnConditions(bound.where, **snap);
   if (split.conditions.empty()) return false;
   ColumnarScanStats scan_stats;
   IQS_ASSIGN_OR_RETURN(std::vector<uint32_t> admitted,
@@ -275,237 +154,129 @@ Result<bool> SqlExecutor::TryColumnarScan(const TableRef& ref,
   return true;
 }
 
-Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
-                                              bool schema_only) const {
-  if (stmt.from.empty()) {
-    return Status::InvalidArgument("FROM list must not be empty");
-  }
-  // Index fast path: a conjunct `col op literal` (or `col BETWEEN lit AND
-  // lit` — the shape the semantic optimizer's narrowing emits) over an
-  // indexed column of a FROM table lets us materialize only the admitted
-  // rows. The full WHERE is re-applied later, so over-approximating
-  // (closed hull of an open interval) is safe. Admitted row ids come back
-  // ascending, so the filtered table keeps base-relation row order.
-  auto index_rows = [&](const TableRef& ref, const Relation& rel)
-      -> std::optional<std::vector<size_t>> {
-    for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
-      if (conjunct->kind == SqlExpr::Kind::kBetween) {
-        if (conjunct->lhs.kind != SqlOperand::Kind::kColumn ||
-            conjunct->low.kind != SqlOperand::Kind::kLiteral ||
-            conjunct->high.kind != SqlOperand::Kind::kLiteral) {
-          continue;
-        }
-        const ColumnRef& column = conjunct->lhs.column;
-        if (!column.qualifier.empty()) {
-          if (!EqualsIgnoreCase(column.qualifier, ref.effective_name()) &&
-              !EqualsIgnoreCase(column.qualifier, ref.name)) {
-            continue;
-          }
-        } else if (stmt.from.size() != 1) {
-          continue;
-        }
-        auto attr_idx = rel.schema().IndexOf(column.name);
-        if (!attr_idx.ok()) continue;
-        const SortedIndex* index = db_->GetIndex(ref.name, column.name);
-        if (index == nullptr) continue;
-        ValueType type = rel.schema().attribute(*attr_idx).type;
-        auto lo = CoerceLiteral(conjunct->low.literal, conjunct->low.raw, type);
-        auto hi =
-            CoerceLiteral(conjunct->high.literal, conjunct->high.raw, type);
-        if (!lo.ok() || !hi.ok()) continue;
-        if (!lo->ComparableWith(*hi)) continue;
-        if (*lo > *hi) return std::vector<size_t>{};
-        return index->Range(*lo, *hi);
-      }
-      if (conjunct->kind != SqlExpr::Kind::kComparison) continue;
-      if (conjunct->op == CompareOp::kNe) continue;
-      const SqlOperand* col = nullptr;
-      const SqlOperand* lit = nullptr;
-      CompareOp op = conjunct->op;
-      if (conjunct->lhs.kind == SqlOperand::Kind::kColumn &&
-          conjunct->rhs.kind == SqlOperand::Kind::kLiteral) {
-        col = &conjunct->lhs;
-        lit = &conjunct->rhs;
-      } else if (conjunct->rhs.kind == SqlOperand::Kind::kColumn &&
-                 conjunct->lhs.kind == SqlOperand::Kind::kLiteral) {
-        col = &conjunct->rhs;
-        lit = &conjunct->lhs;
-        switch (op) {  // mirror
-          case CompareOp::kLt: op = CompareOp::kGt; break;
-          case CompareOp::kLe: op = CompareOp::kGe; break;
-          case CompareOp::kGt: op = CompareOp::kLt; break;
-          case CompareOp::kGe: op = CompareOp::kLe; break;
-          default: break;
-        }
-      } else {
-        continue;
-      }
-      // The column must belong to this table. Qualified refs must match
-      // the table; unqualified refs only qualify with a single-table FROM.
-      if (!col->column.qualifier.empty()) {
-        if (!EqualsIgnoreCase(col->column.qualifier, ref.effective_name()) &&
-            !EqualsIgnoreCase(col->column.qualifier, ref.name)) {
-          continue;
-        }
-      } else if (stmt.from.size() != 1) {
-        continue;
-      }
-      auto attr_idx = rel.schema().IndexOf(col->column.name);
-      if (!attr_idx.ok()) continue;
-      const SortedIndex* index = db_->GetIndex(ref.name, col->column.name);
-      if (index == nullptr) continue;
-      auto coerced = CoerceLiteral(lit->literal, lit->raw,
-                                   rel.schema().attribute(*attr_idx).type);
-      if (!coerced.ok()) continue;
-      auto lo = index->Min();
-      auto hi = index->Max();
-      if (!lo.ok() || !hi.ok()) {
+std::optional<std::vector<size_t>> SqlExecutor::IndexRows(
+    const BoundQuery& bound, size_t table) const {
+  for (const BoundConjunct& c : bound.conjuncts) {
+    const bool between = c.kind == BoundConjunct::Kind::kBetween;
+    if (c.column.table != table) continue;
+    if (!between && (c.kind != BoundConjunct::Kind::kCompare ||
+                     c.op == CompareOp::kNe || c.op == CompareOp::kLike)) {
+      continue;
+    }
+    const SortedIndex* index = db_->GetIndex(bound.tables[table].ref.name,
+                                             bound.attribute(c.column).name);
+    if (index == nullptr) continue;
+    Value lo = c.constant;
+    Value hi = between ? c.high : c.constant;
+    if (!between && c.op != CompareOp::kEq) {
+      auto min = index->Min();
+      auto max = index->Max();
+      if (!min.ok() || !max.ok()) {
         return std::vector<size_t>{};  // empty index: nothing matches
       }
-      Value range_lo = *lo;
-      Value range_hi = *hi;
-      switch (op) {
-        case CompareOp::kEq:
-          range_lo = range_hi = *coerced;
-          break;
-        case CompareOp::kLt:
-        case CompareOp::kLe:
-          range_hi = *coerced;
-          break;
-        case CompareOp::kGt:
-        case CompareOp::kGe:
-          range_lo = *coerced;
-          break;
-        default:
-          continue;
-      }
-      if (!range_lo.ComparableWith(range_hi)) continue;
-      if (range_lo > range_hi) return std::vector<size_t>{};
-      return index->Range(range_lo, range_hi);
+      if (c.op == CompareOp::kLt || c.op == CompareOp::kLe) lo = *min;
+      if (c.op == CompareOp::kGt || c.op == CompareOp::kGe) hi = *max;
     }
-    return std::nullopt;
-  };
+    if (!lo.ComparableWith(hi)) continue;
+    if (lo > hi) return std::vector<size_t>{};
+    return index->Range(lo, hi);
+  }
+  return std::nullopt;
+}
 
-  // Load and qualify each table. Virtual (sys.*) relations are
-  // materialized from live registries per scan; they have no indexes, so
-  // the fast path only applies to stored relations.
+Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
+                                              bool schema_only) const {
+  const SelectStatement& stmt = *bound.statement;
+  // Load and qualify each table. Virtual (sys.*) relations arrive as the
+  // binder's snapshots; they have no indexes or columnar form, so the
+  // fast paths only apply to stored relations.
   std::vector<Relation> tables;
-  std::set<std::string> names;
   bool where_filtered = false;
-  for (const TableRef& ref : stmt.from) {
-    std::optional<Relation> materialized;
-    const Relation* rel = nullptr;
-    if (db_->IsVirtual(ref.name)) {
-      IQS_ASSIGN_OR_RETURN(Relation snapshot,
-                           db_->MaterializeVirtual(ref.name));
-      materialized = std::move(snapshot);
-      rel = &*materialized;
-    } else {
-      IQS_ASSIGN_OR_RETURN(rel, db_->Get(ref.name));
-    }
-    std::string effective = ref.effective_name();
-    if (!names.insert(ToLower(effective)).second) {
-      return Status::InvalidArgument("duplicate table name/alias '" +
-                                     effective + "' in FROM");
-    }
+  for (size_t e = 0; e < bound.tables.size(); ++e) {
+    const BoundTable& entry = bound.tables[e];
+    const Relation& rel = *entry.relation;
+    const std::string& effective = entry.ref.effective_name();
     if (schema_only) {
       // Proven-empty scan skip: only the schema participates; joins,
-      // WHERE binding, aggregation, and projection all still run so the
+      // filtering, aggregation, and projection all still run so the
       // output shape (and any error) matches a real scan of zero rows.
-      Relation empty(rel->name(), rel->schema());
+      Relation empty(rel.name(), rel.schema());
       tables.push_back(QualifyFor(empty, effective));
       continue;
     }
+    // Index fast path: a bound conjunct restricting an indexed column of
+    // this entry (including the BETWEEN the semantic optimizer's
+    // narrowing emits) materializes only the admitted rows, in base
+    // order.
     std::optional<std::vector<size_t>> admitted =
-        materialized.has_value() ? std::nullopt : index_rows(ref, *rel);
+        entry.is_virtual() ? std::nullopt : IndexRows(bound, e);
     if (admitted.has_value()) {
       ++stats_.index_prefiltered_tables;
-      Relation filtered(rel->name(), rel->schema());
-      for (size_t r : *admitted) filtered.AppendUnchecked(rel->row(r));
+      Relation filtered(rel.name(), rel.schema());
+      for (size_t r : *admitted) filtered.AppendUnchecked(rel.row(r));
       stats_.base_rows_loaded += filtered.size();
       tables.push_back(QualifyFor(filtered, effective));
       IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", tables.back().size(),
                                            tables.back().schema().size()));
       continue;
     }
-    stats_.base_rows_loaded += rel->size();
+    stats_.base_rows_loaded += rel.size();
     // Columnar fast path: a one-table restriction with no usable index
     // runs as a zone-map-pruned batch scan over the columnar snapshot
     // and arrives here already WHERE-filtered.
-    if (stmt.from.size() == 1 && stmt.where != nullptr &&
-        !materialized.has_value() && ColumnarEnabled()) {
-      Relation empty(rel->name(), rel->schema());
+    if (bound.tables.size() == 1 && bound.where != nullptr &&
+        !entry.is_virtual() && ColumnarEnabled()) {
+      Relation empty(rel.name(), rel.schema());
       Relation qualified = QualifyFor(empty, effective);
-      IQS_ASSIGN_OR_RETURN(bool scanned,
-                           TryColumnarScan(ref, stmt, &qualified));
+      IQS_ASSIGN_OR_RETURN(bool scanned, TryColumnarScan(bound, &qualified));
       if (scanned) {
         tables.push_back(std::move(qualified));
         where_filtered = true;
         continue;
       }
     }
-    tables.push_back(QualifyFor(*rel, effective));
+    tables.push_back(QualifyFor(rel, effective));
     // The qualified copy is the scan stage's big materialization — the
     // whole base relation duplicated under qualified names.
     IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", tables.back().size(),
                                          tables.back().schema().size()));
   }
 
-  // Collect equi-join conditions (column = column across two tables).
-  struct JoinCond {
-    ColumnRef left;
-    ColumnRef right;
-    bool used = false;
-  };
-  std::vector<JoinCond> join_conds;
-  for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
-    if (conjunct->kind != SqlExpr::Kind::kComparison) continue;
-    if (conjunct->op != CompareOp::kEq) continue;
-    if (conjunct->lhs.kind != SqlOperand::Kind::kColumn ||
-        conjunct->rhs.kind != SqlOperand::Kind::kColumn) {
-      continue;
-    }
-    join_conds.push_back(JoinCond{conjunct->lhs.column, conjunct->rhs.column});
-  }
-
   // Greedy join plan: start with the first table; repeatedly attach a
-  // table linked by a join condition, else cross-product the next one.
+  // table linked to the joined ones by an equi-join conjunct, else
+  // cross-product the next one. `offsets` tracks where each entry's
+  // columns land in `working`.
+  std::vector<const BoundConjunct*> join_conds;
+  for (const BoundConjunct& c : bound.conjuncts) {
+    if (c.kind == BoundConjunct::Kind::kColumns && c.op == CompareOp::kEq) {
+      join_conds.push_back(&c);
+    }
+  }
   std::vector<bool> joined(tables.size(), false);
+  std::vector<size_t> offsets(tables.size(), 0);
   Relation working = tables[0];
   joined[0] = true;
   size_t remaining = tables.size() - 1;
-  auto resolves_in = [](const Relation& rel, const ColumnRef& ref) {
-    return ResolveColumn(rel.schema(), ref).ok();
-  };
   while (remaining > 0) {
     bool attached = false;
-    for (JoinCond& cond : join_conds) {
-      if (cond.used) continue;
+    for (const BoundConjunct*& cond : join_conds) {
+      if (cond == nullptr) continue;  // already used
       for (size_t t = 0; t < tables.size(); ++t) {
         if (joined[t]) continue;
-        // One side must resolve in `working`, the other in table t.
-        const ColumnRef* in_working = nullptr;
-        const ColumnRef* in_table = nullptr;
-        if (resolves_in(working, cond.left) &&
-            resolves_in(tables[t], cond.right)) {
-          in_working = &cond.left;
-          in_table = &cond.right;
-        } else if (resolves_in(working, cond.right) &&
-                   resolves_in(tables[t], cond.left)) {
-          in_working = &cond.right;
-          in_table = &cond.left;
-        } else {
-          continue;
+        // One side must lie in `working`, the other in table t.
+        const BoundColumn* in_working = &cond->column;
+        const BoundColumn* in_table = &cond->other;
+        if (!joined[in_working->table] || in_table->table != t) {
+          std::swap(in_working, in_table);
+          if (!joined[in_working->table] || in_table->table != t) continue;
         }
-        IQS_ASSIGN_OR_RETURN(size_t wi,
-                             ResolveColumn(working.schema(), *in_working));
-        IQS_ASSIGN_OR_RETURN(size_t ti,
-                             ResolveColumn(tables[t].schema(), *in_table));
+        offsets[t] = working.schema().size();
         IQS_ASSIGN_OR_RETURN(
-            working, JoinOn(working, working.schema().attribute(wi).name,
-                            tables[t], tables[t].schema().attribute(ti).name));
+            working,
+            JoinOn(working, offsets[in_working->table] + in_working->slot,
+                   tables[t], in_table->slot));
         joined[t] = true;
-        cond.used = true;
+        cond = nullptr;
         --remaining;
         attached = true;
         break;
@@ -533,6 +304,7 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
             crossed.AppendUnchecked(Tuple::Concat(lt, rt));
           }
         }
+        offsets[t] = working.schema().size();
         working = std::move(crossed);
         joined[t] = true;
         --remaining;
@@ -545,9 +317,8 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
   // applied it). Partitioned scan: chunks keep local row vectors
   // concatenated in chunk order, so row order and the first reported
   // error match the serial scan.
-  if (stmt.where != nullptr && !where_filtered) {
-    IQS_ASSIGN_OR_RETURN(PredicatePtr pred,
-                         BindExpr(working.schema(), *stmt.where));
+  if (bound.where != nullptr && !where_filtered) {
+    PredicatePtr pred = bound.WhereAt(offsets);
     const std::vector<Tuple>& rows = working.rows();
     using Part = Result<std::vector<Tuple>>;
     Part kept = exec::ParallelReduce<Part>(
@@ -586,7 +357,7 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
       // and group columns by their base name — both resolve against the
       // aggregated schema.
       IQS_ASSIGN_OR_RETURN(PredicatePtr having,
-                           BindExpr(aggregated.schema(), *stmt.having));
+                           BindPredicate(*stmt.having, aggregated.schema()));
       Relation filtered(aggregated.name(), aggregated.schema());
       for (const Tuple& row : aggregated.rows()) {
         IQS_ASSIGN_OR_RETURN(bool keep, having->Eval(row));

@@ -1,10 +1,12 @@
 #ifndef IQS_SQL_SQL_EXECUTOR_H_
 #define IQS_SQL_SQL_EXECUTOR_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "relational/database.h"
+#include "sql/binder.h"
 #include "sql/sql_ast.h"
 
 namespace iqs {
@@ -20,7 +22,10 @@ class SqlExecutor {
   // `db` must outlive the executor.
   explicit SqlExecutor(const Database* db) : db_(db) {}
 
+  // Binds `stmt` against the database, then executes it.
   Result<Relation> Execute(const SelectStatement& stmt) const;
+  // Executes a statement already bound against this executor's database.
+  Result<Relation> Execute(const BoundQuery& bound) const;
 
   // Runs the full pipeline with every FROM table materialized as its
   // schema over ZERO rows. Used by the semantic optimizer when the WHERE
@@ -29,12 +34,13 @@ class SqlExecutor {
   // produce (an aggregate query without GROUP BY still yields its single
   // group row), but no base rows are read and rows_scanned stays 0.
   Result<Relation> ExecuteSchemaOnly(const SelectStatement& stmt) const;
+  Result<Relation> ExecuteSchemaOnly(const BoundQuery& bound) const;
 
   // Parses and executes.
   Result<Relation> ExecuteSql(const std::string& sql) const;
 
   // Observability for the index fast path: when a WHERE conjunct
-  // restricts an indexed column of a FROM table with a literal, the
+  // restricts an indexed column of a FROM table with a constant, the
   // executor loads only the index-admitted rows instead of the whole
   // relation (the full WHERE still applies afterwards, so open bounds
   // may over-approximate safely).
@@ -55,45 +61,42 @@ class SqlExecutor {
   // bookkeeping of one racing the reporting of another.
   const ExecutionStats& last_stats() const { return stats_; }
 
-  // Resolves `ref` against a working schema whose attributes are named
-  // "<table-or-alias>.<attr>": qualified refs match exactly; unqualified
-  // refs match by base name and must be unambiguous. Exposed for the
-  // query processor, which binds WHERE conditions the same way.
-  static Result<size_t> ResolveColumn(const Schema& schema,
-                                      const ColumnRef& ref);
-
  private:
   // Shared instrumentation wrapper around ExecuteInternal.
-  Result<Relation> ExecuteMeasured(const SelectStatement& stmt,
+  Result<Relation> ExecuteMeasured(const BoundQuery& bound,
                                    bool schema_only) const;
 
   // Execute minus the instrumentation wrapper: the join/filter/project
   // pipeline with its many exit points. With `schema_only`, FROM tables
   // contribute their schemas but no rows.
-  Result<Relation> ExecuteInternal(const SelectStatement& stmt,
+  Result<Relation> ExecuteInternal(const BoundQuery& bound,
                                    bool schema_only) const;
+
+  // Index fast path: the rows of stored entry `table` admitted by the
+  // first bound conjunct that restricts one of its indexed columns to a
+  // range, ascending; nullopt when no conjunct applies. The full WHERE
+  // still runs afterwards, so an open bound's closed hull is safe.
+  std::optional<std::vector<size_t>> IndexRows(const BoundQuery& bound,
+                                               size_t table) const;
 
   // Copies `relation` with attributes renamed "<effective>.<attr>".
   static Relation QualifyFor(const Relation& relation,
                              const std::string& effective_name);
 
   // Columnar fast path for a single-table SELECT with a WHERE clause
-  // and no index-admitted prefilter: binds the predicate against
-  // `qualified`'s schema, splits out the column-vs-constant conjunct
-  // prefix, and runs the zone-map-pruned batch scan over the cached
-  // columnar snapshot. On success appends the admitted rows to
-  // `*qualified` and returns true — the WHERE clause is then fully
-  // applied. Returns false (appending nothing) when no conjunct is
-  // extractable and the row scan should run instead.
-  Result<bool> TryColumnarScan(const TableRef& ref,
-                               const SelectStatement& stmt,
+  // and no index-admitted prefilter: splits the bound predicate into its
+  // column-vs-constant conjunct prefix and runs the zone-map-pruned
+  // batch scan over the cached columnar snapshot. On success appends
+  // the admitted rows to `*qualified` and returns true — the WHERE
+  // clause is then fully applied. Returns false (appending nothing)
+  // when no conjunct is extractable and the row scan should run
+  // instead.
+  Result<bool> TryColumnarScan(const BoundQuery& bound,
                                Relation* qualified) const;
 
-  // Hash equi-join of two working relations on the named columns.
-  static Result<Relation> JoinOn(const Relation& left,
-                                 const std::string& left_col,
-                                 const Relation& right,
-                                 const std::string& right_col);
+  // Hash equi-join of two working relations on the given columns.
+  static Result<Relation> JoinOn(const Relation& left, size_t left_col,
+                                 const Relation& right, size_t right_col);
 
   // Grouping/aggregation over the filtered working relation: used when
   // the statement has aggregates or a GROUP BY. Plain select items must
@@ -101,15 +104,6 @@ class SqlExecutor {
   // forms a single group (one output row, even over empty input).
   static Result<Relation> ExecuteAggregate(const Relation& working,
                                            const SelectStatement& stmt);
-
-  // Binds a WHERE expression tree to a Predicate over `schema`, coercing
-  // literals to the compared column's type (numeric literals against CHAR
-  // columns keep their spelling: CLASS = 0101 means CLASS = '0101').
-  static Result<PredicatePtr> BindExpr(const Schema& schema,
-                                       const SqlExpr& expr);
-  static Result<ExprPtr> BindOperand(const Schema& schema,
-                                     const SqlOperand& operand,
-                                     const SqlOperand& other);
 
   const Database* db_;
   static thread_local ExecutionStats stats_;

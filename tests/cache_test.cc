@@ -136,6 +136,39 @@ TEST(NormalizeSqlTest, TrimsLeadingAndTrailingSpace) {
   EXPECT_EQ(NormalizeSql("   "), "");
 }
 
+// --- answer keys -------------------------------------------------------------
+
+QueryDescription Describing(std::vector<Clause> conditions) {
+  QueryDescription d;
+  d.object_types = {"CLASS"};
+  d.conditions = std::move(conditions);
+  return d;
+}
+
+TEST(AnswerKeyTest, ValuesAreTypeTagged) {
+  // '8000' and 8000 print alike; as keys they must not meet.
+  auto key = [](Value v) {
+    return cache::AnswerKey(
+        Describing({Clause("CLASS.Displacement",
+                           Interval::AtLeast(std::move(v), true))}),
+        InferenceMode::kCombined, 1, 1);
+  };
+  EXPECT_NE(key(Value::String("8000")), key(Value::Int(8000)));
+  EXPECT_EQ(key(Value::Int(8000)), key(Value::Int(8000)));
+}
+
+TEST(AnswerKeyTest, StringConstantsCannotSpellOtherConditions) {
+  QueryDescription one = Describing({Clause::Equals(
+      "CLASS.Type", Value::String("SSN and CLASS.Displacement > 3000"))});
+  QueryDescription two =
+      Describing({Clause::Equals("CLASS.Type", Value::String("SSN")),
+                  Clause("CLASS.Displacement",
+                         Interval::AtLeast(Value::Int(3000), true))});
+  ASSERT_EQ(one.ToString(), two.ToString());  // the rendering collides
+  EXPECT_NE(cache::AnswerKey(one, InferenceMode::kCombined, 1, 1),
+            cache::AnswerKey(two, InferenceMode::kCombined, 1, 1));
+}
+
 // --- the versioned cache against a live system -----------------------------
 
 constexpr char kRuleQuery[] =

@@ -9,8 +9,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/persistence.h"
@@ -49,6 +51,11 @@ const std::vector<GoldenCase>& ShipCases() {
        "SELECT Type, COUNT(*) FROM CLASS GROUP BY Type ORDER BY Type"},
       {"ship_sonar_range",
        "SELECT Sonar FROM SONAR WHERE SONAR.SonarType = 'BQQ'"},
+      // A quoted numeric binds like the typed literal: the answer is the
+      // one `Displacement > 3000` gets, never "provably empty".
+      {"ship_quoted_displacement",
+       "SELECT ClassName FROM CLASS WHERE Displacement > '3000' "
+       "AND Type = 'SSN'"},
   };
   return cases;
 }
@@ -338,6 +345,89 @@ TEST_F(GoldenAnswersTest, RenderingIsByteIdenticalCacheOnVsOff) {
     EXPECT_EQ(cold, warm) << t.sql << ": warm hit changed the rendering";
     EXPECT_EQ(cold, uncached) << t.sql << ": caching changed the rendering";
   }
+}
+
+// Caching can never serve one query's answer to another: a seeded
+// shuffle of the golden queries, their quoted and literal-left
+// spellings, a quoted-then-typed pair and a pair whose string constant
+// spells the other's conditions runs against a cache that is never
+// cleared mid-stream, and every render must equal its uncached render.
+TEST_F(GoldenAnswersTest, ShuffledSpellingStreamRendersAsUncached) {
+  ASSERT_NE(ship_, nullptr);
+  ASSERT_NE(employee_, nullptr);
+  using Step = std::pair<IqsSystem*, std::string>;
+  // Each unit runs in order; units are shuffled.
+  std::vector<std::vector<Step>> units;
+  for (const GoldenCase& c : ShipCases()) {
+    units.push_back({{ship_, ShipSql(c)}});
+  }
+  for (const GoldenCase& c : EmployeeCases()) {
+    units.push_back({{employee_, c.sql}});
+  }
+  const std::vector<Step> respellings = {
+      {ship_,
+       "SELECT SUBMARINE.ID, SUBMARINE.NAME, SUBMARINE.CLASS, CLASS.TYPE "
+       "FROM SUBMARINE, CLASS WHERE SUBMARINE.CLASS = CLASS.CLASS "
+       "AND 8000 < CLASS.DISPLACEMENT"},
+      {ship_,
+       "SELECT SUBMARINE.NAME, SUBMARINE.CLASS FROM SUBMARINE, CLASS "
+       "WHERE SUBMARINE.CLASS = CLASS.CLASS AND 'SSBN' = CLASS.TYPE"},
+      {ship_, "SELECT Id FROM SUBMARINE WHERE '0204' = SUBMARINE.Class"},
+      {ship_, "SELECT Id FROM SUBMARINE WHERE SUBMARINE.Class = 0204"},
+      {ship_,
+       "SELECT ClassName, Type FROM CLASS WHERE Displacement >= '7250'"},
+      {ship_, "SELECT ClassName, Type FROM CLASS WHERE 7250 <= Displacement"},
+      {ship_,
+       "SELECT ClassName, Type FROM CLASS WHERE '7250' <= Displacement"},
+      {ship_, "SELECT Sonar FROM SONAR WHERE 'BQQ' = SONAR.SonarType"},
+      {ship_,
+       "SELECT ClassName FROM CLASS WHERE Displacement > 3000 "
+       "AND Type = 'SSN'"},
+      {ship_,
+       "SELECT ClassName FROM CLASS WHERE '3000' < Displacement "
+       "AND 'SSN' = Type"},
+      {employee_, "SELECT Name FROM EMPLOYEE WHERE Salary > '100000'"},
+      {employee_, "SELECT Name FROM EMPLOYEE WHERE 100000 < Salary"},
+      {employee_, "SELECT Name, Position FROM EMPLOYEE WHERE '40' <= Age"},
+  };
+  for (const Step& step : respellings) units.push_back({step});
+  units.push_back(
+      {{ship_, "SELECT ClassName FROM CLASS WHERE Displacement > '8000'"},
+       {ship_, "SELECT ClassName FROM CLASS WHERE Displacement > 8000"}});
+  units.push_back(
+      {{ship_,
+        "SELECT ClassName FROM CLASS "
+        "WHERE Type = 'SSN and CLASS.Displacement > 3000'"},
+       {ship_,
+        "SELECT ClassName FROM CLASS WHERE Type = 'SSN' "
+        "AND Displacement > 3000"}});
+  std::mt19937_64 rng(0x60DE11);
+  for (size_t i = units.size(); i > 1; --i) {
+    std::swap(units[i - 1], units[rng() % i]);
+  }
+  std::vector<Step> stream;
+  for (const std::vector<Step>& unit : units) {
+    stream.insert(stream.end(), unit.begin(), unit.end());
+  }
+
+  const bool ship_was_enabled = ship_->processor().cache().enabled();
+  const bool employee_was_enabled = employee_->processor().cache().enabled();
+  ship_->processor().cache().set_enabled(false);
+  employee_->processor().cache().set_enabled(false);
+  std::vector<std::string> uncached;
+  for (const Step& step : stream) {
+    uncached.push_back(Render(*step.first, step.second));
+  }
+  ship_->processor().cache().set_enabled(true);
+  employee_->processor().cache().set_enabled(true);
+  ship_->processor().cache().Clear();  // once, before the stream
+  employee_->processor().cache().Clear();
+  for (size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(Render(*stream[i].first, stream[i].second), uncached[i])
+        << "step " << i << ": " << stream[i].second;
+  }
+  ship_->processor().cache().set_enabled(ship_was_enabled);
+  employee_->processor().cache().set_enabled(employee_was_enabled);
 }
 
 // Over-the-wire goldens: the same renders reconstructed from iqs_serverd

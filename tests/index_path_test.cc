@@ -97,15 +97,24 @@ TEST_F(IndexPathTest, PrefilterReducesRowsLoaded) {
   EXPECT_EQ(SortedRows(indexed), SortedRows(unindexed));
 }
 
-TEST_F(IndexPathTest, UnqualifiedColumnUsesIndexOnlyForSingleTable) {
-  ASSERT_OK(db_->CreateIndex("CLASS", "Displacement"));
+TEST_F(IndexPathTest, UnqualifiedColumnUsesIndexOfItsBoundTable) {
   SqlExecutor executor(db_.get());
+  const char* join =
+      "SELECT SUBMARINE.Name FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = "
+      "CLASS.Class AND Displacement > 8000";
+  ASSERT_OK_AND_ASSIGN(Relation unindexed, executor.ExecuteSql(join));
+  ASSERT_OK(db_->CreateIndex("CLASS", "Displacement"));
   ASSERT_OK_AND_ASSIGN(
       Relation single,
       executor.ExecuteSql("SELECT Class FROM CLASS WHERE Displacement > "
                           "8000"));
   EXPECT_EQ(executor.last_stats().index_prefiltered_tables, 1u);
   EXPECT_EQ(single.size(), 2u);
+  // The binder resolves the unqualified column to CLASS, so the index
+  // serves it in a join too.
+  ASSERT_OK_AND_ASSIGN(Relation indexed, executor.ExecuteSql(join));
+  EXPECT_EQ(executor.last_stats().index_prefiltered_tables, 1u);
+  EXPECT_EQ(SortedRows(indexed), SortedRows(unindexed));
 }
 
 TEST_F(IndexPathTest, LargeFleetEquivalence) {

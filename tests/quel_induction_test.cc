@@ -27,6 +27,13 @@ struct SchemeCase {
   int64_t nc;
 };
 
+// gtest_discover_tests names each case after its printed parameter;
+// print the scheme rather than the pointer bytes, which change with
+// every load address, so the ctest names are the same on every build.
+void PrintTo(const SchemeCase& c, std::ostream* os) {
+  *os << c.relation << ' ' << c.x << "->" << c.y << " Nc=" << c.nc;
+}
+
 class QuelEquivalence : public ::testing::TestWithParam<SchemeCase> {};
 
 TEST_P(QuelEquivalence, MatchesNativeInduction) {

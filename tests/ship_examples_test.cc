@@ -203,6 +203,38 @@ TEST_F(ShipExamplesTest, DescribeHandlesBetweenAndMirroredLiterals) {
             "CLASS.Displacement < 8000");
 }
 
+TEST_F(ShipExamplesTest, ReversedBetweenIsProvablyEmpty) {
+  // BETWEEN 5000 AND 3000 admits nothing, exactly like its desugaring.
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult reversed,
+      system_->Query("SELECT ClassName FROM CLASS WHERE Displacement "
+                     "BETWEEN 5000 AND 3000"));
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult desugared,
+      system_->Query("SELECT ClassName FROM CLASS WHERE Displacement >= 5000 "
+                     "AND Displacement <= 3000"));
+  EXPECT_EQ(reversed.extensional.size(), 0u);
+  EXPECT_TRUE(reversed.intensional.empty_proof().has_value());
+  EXPECT_EQ(reversed.intensional.ToString(),
+            desugared.intensional.ToString());
+}
+
+TEST_F(ShipExamplesTest, QuotedNumericsDescribeLikeTypedOnes) {
+  // '3000' on an INT column binds to the integer 3000, so the answer is
+  // never a string interval's "provably empty" over 7 rows.
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult quoted,
+      system_->Query("SELECT ClassName FROM CLASS WHERE Displacement > "
+                     "'3000' AND Type = 'SSN'"));
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult typed,
+      system_->Query("SELECT ClassName FROM CLASS WHERE Displacement > 3000 "
+                     "AND Type = 'SSN'"));
+  EXPECT_EQ(quoted.extensional.size(), 7u);
+  EXPECT_FALSE(quoted.intensional.empty_proof().has_value());
+  EXPECT_EQ(quoted.intensional.ToString(), typed.intensional.ToString());
+}
+
 TEST_F(ShipExamplesTest, DescribeCoercesLiteralSpellings) {
   ASSERT_OK_AND_ASSIGN(
       SelectStatement stmt,

@@ -194,21 +194,5 @@ TEST_F(SqlExecutorTest, QueryStatsFlowThroughTheAssembledSystem) {
   EXPECT_GE(stats.total_micros, stats.parse_micros);
 }
 
-TEST_F(SqlExecutorTest, ResolveColumnHelper) {
-  Schema schema({{"S.Id", ValueType::kString, false},
-                 {"S.Name", ValueType::kString, false},
-                 {"C.Name", ValueType::kString, false}});
-  ASSERT_OK_AND_ASSIGN(size_t idx,
-                       SqlExecutor::ResolveColumn(schema, {"S", "Id"}));
-  EXPECT_EQ(idx, 0u);
-  ASSERT_OK_AND_ASSIGN(size_t id_idx,
-                       SqlExecutor::ResolveColumn(schema, {"", "Id"}));
-  EXPECT_EQ(id_idx, 0u);
-  EXPECT_EQ(SqlExecutor::ResolveColumn(schema, {"", "Name"}).status().code(),
-            StatusCode::kInvalidArgument);  // ambiguous
-  EXPECT_EQ(SqlExecutor::ResolveColumn(schema, {"", "Ghost"}).status().code(),
-            StatusCode::kNotFound);
-}
-
 }  // namespace
 }  // namespace iqs

@@ -20,6 +20,11 @@ struct EquivalenceCase {
   const char* quel;  // script; the last retrieve is the result
 };
 
+// gtest_discover_tests names each case after its printed parameter;
+// print the label rather than the pointer bytes, which change with
+// every load address, so the ctest names are the same on every build.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << c.label; }
+
 class SqlQuelEquivalence : public ::testing::TestWithParam<EquivalenceCase> {
  protected:
   static std::vector<std::string> SortedRows(const Relation& rel) {

@@ -196,7 +196,8 @@ TEST_F(SqoDifferentialTest, IntensionalModeNeverChangesTheIntension) {
 // families. SplitMix64 keeps the stream platform-stable.
 class ShipQueryFuzzer {
  public:
-  explicit ShipQueryFuzzer(uint64_t seed) : state_(seed) {}
+  explicit ShipQueryFuzzer(uint64_t seed)
+      : state_(seed), spelling_state_(~seed) {}
 
   std::string Next() {
     const bool join = Pick(4) == 0;
@@ -208,25 +209,57 @@ class ShipQueryFuzzer {
     sql += join ? "SUBMARINE, CLASS" : table;
     sql += " WHERE ";
     if (join) sql += "SUBMARINE.Class = CLASS.Class AND ";
+    respelled_ = sql;
     const size_t conjuncts = 1 + Pick(3);
     for (size_t i = 0; i < conjuncts; ++i) {
-      if (i > 0) sql += " AND ";
-      sql += Conjunct(join ? (Pick(2) == 0 ? "SUBMARINE" : "CLASS")
-                           : table,
-                      join);
+      if (i > 0) {
+        sql += " AND ";
+        respelled_ += " AND ";
+      }
+      Spellings conjunct =
+          Conjunct(join ? (Pick(2) == 0 ? "SUBMARINE" : "CLASS") : table,
+                   join);
+      sql += conjunct.typed;
+      respelled_ += conjunct.respelled;
     }
     return sql;
   }
 
+  // The query Next() last returned, respelled: numeric literals quoted,
+  // comparisons turned literal-left, BETWEEN bounds of mixed spelling.
+  // It binds to the same typed constants, so it must answer exactly
+  // like the original. The choices come from a second stream, so the
+  // typed queries are the same with or without this.
+  const std::string& respelled() const { return respelled_; }
+
  private:
-  uint64_t NextRaw() {
+  struct Spellings {
+    std::string typed;
+    std::string respelled;
+  };
+
+  static uint64_t SplitMix(uint64_t* state) {
     // SplitMix64 — matches the generator idiom in testbed/.
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   }
-  size_t Pick(size_t n) { return static_cast<size_t>(NextRaw() % n); }
+  size_t Pick(size_t n) { return static_cast<size_t>(SplitMix(&state_) % n); }
+  size_t PickSpelling(size_t n) {
+    return static_cast<size_t>(SplitMix(&spelling_state_) % n);
+  }
+
+  static std::string Quote(const std::string& literal) {
+    return "'" + literal + "'";
+  }
+  static std::string Mirror(const std::string& op) {
+    if (op == "<") return ">";
+    if (op == "<=") return ">=";
+    if (op == ">") return "<";
+    if (op == ">=") return "<=";
+    return op;  // = and <> are symmetric
+  }
 
   std::string Column(const char* table) {
     if (std::string(table) == "SUBMARINE") {
@@ -238,7 +271,7 @@ class ShipQueryFuzzer {
     return kCols[Pick(4)];
   }
 
-  std::string Conjunct(const char* table, bool qualify) {
+  Spellings Conjunct(const char* table, bool qualify) {
     std::string col = Column(table);
     std::string lhs = qualify ? std::string(table) + "." + col : col;
     const bool numeric = col == "Displacement";
@@ -246,8 +279,15 @@ class ShipQueryFuzzer {
       int lo = Literal();
       int hi = Literal();
       if (lo > hi) std::swap(lo, hi);
-      return lhs + " BETWEEN " + std::to_string(lo) + " AND " +
-             std::to_string(hi);
+      std::string low = std::to_string(lo);
+      std::string high = std::to_string(hi);
+      std::string typed = lhs + " BETWEEN " + low + " AND " + high;
+      switch (PickSpelling(3)) {
+        case 0: low = Quote(low); break;
+        case 1: high = Quote(high); break;
+        default: low = Quote(low); high = Quote(high); break;
+      }
+      return {typed, lhs + " BETWEEN " + low + " AND " + high};
     }
     static const char* kOps[] = {"=", "<", "<=", ">", ">=", "<>"};
     std::string op = kOps[numeric ? Pick(6) : (Pick(3) == 0 ? Pick(6)
@@ -267,7 +307,13 @@ class ShipQueryFuzzer {
                                        "'zzz'", "''"};
       rhs = kStrings[Pick(5)];
     }
-    return lhs + " " + op + " " + rhs;
+    std::string typed = lhs + " " + op + " " + rhs;
+    // Strings can only move to the left; numerics may also be quoted.
+    switch (numeric ? PickSpelling(3) : 1) {
+      case 0: return {typed, lhs + " " + op + " " + Quote(rhs)};
+      case 1: return {typed, rhs + " " + Mirror(op) + " " + lhs};
+      default: return {typed, Quote(rhs) + " " + Mirror(op) + " " + lhs};
+    }
   }
 
   int Literal() {
@@ -277,6 +323,8 @@ class ShipQueryFuzzer {
   }
 
   uint64_t state_;
+  uint64_t spelling_state_;
+  std::string respelled_;
 };
 
 TEST_F(SqoDifferentialTest, SeededFuzzCorpusIsAnswerPreserving) {
@@ -288,6 +336,37 @@ TEST_F(SqoDifferentialTest, SeededFuzzCorpusIsAnswerPreserving) {
   }
   EXPECT_GE(fired, 10u) << "fuzz corpus fired too few rewrites to count "
                            "as differential coverage";
+}
+
+// Every respelling of a fuzzed query binds to the typed constants, so it
+// answers exactly like the typed spelling — rows, intensional answer and
+// status — under both modes, and soundly (paper §4). Uncached, so each
+// spelling derives its own answer.
+TEST_F(SqoDifferentialTest, SeededRespellingsAnswerLikeTheTypedSpelling) {
+  ShipQueryFuzzer fuzzer(0x5EE11EDULL);
+  for (int i = 0; i < 150; ++i) {
+    const std::string typed = fuzzer.Next();
+    const std::string respelled = fuzzer.respelled();
+    SCOPED_TRACE(typed + "\n  respelled: " + respelled);
+    for (SqoMode mode : {SqoMode::kOff, SqoMode::kOn}) {
+      QueryOptions options;
+      options.sqo = mode;
+      options.use_cache = false;
+      auto want = system_->Query(typed, options);
+      auto got = system_->Query(respelled, options);
+      ASSERT_EQ(want.ok(), got.ok())
+          << (want.ok() ? got.status() : want.status());
+      if (!want.ok()) {
+        EXPECT_EQ(want.status().ToString(), got.status().ToString());
+        continue;
+      }
+      EXPECT_EQ(want->extensional.ToTable(), got->extensional.ToTable());
+      EXPECT_EQ(want->intensional.ToString(), got->intensional.ToString());
+      testing_util::ExpectSoundAnswer(*system_, *want, typed);
+      testing_util::ExpectSoundAnswer(*system_, *got, respelled);
+    }
+    if (HasFailure()) break;  // the trace already names the query
+  }
 }
 
 }  // namespace

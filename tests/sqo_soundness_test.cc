@@ -7,7 +7,10 @@
 //      is nonempty;
 //   3. pruned (incomplete) rule bases still satisfy both — the pass must
 //      recognize incomplete families and decline rather than lose rows
-//      (Appendix C: the Typhoon hazard).
+//      (Appendix C: the Typhoon hazard);
+//   4. every spelling of a restriction (quoted numerics, literal-left
+//      comparisons, mixed-spelling BETWEEN) answers exactly like the
+//      typed spelling, rows and intensional answer alike, and soundly.
 // Labeled "sqo".
 
 #include <memory>
@@ -30,9 +33,39 @@ struct FleetConfig {
   bool prune;
 };
 
+// Groups of spellings that bind to the same typed constants: the typed
+// query first, then its respellings. Each selects Name, Type and
+// Displacement, so forward facts over the restricted columns are
+// checked against every returned row.
+std::vector<std::vector<std::string>> FleetSpellings() {
+  std::vector<std::vector<std::string>> groups;
+  for (const FleetTypeSpec& spec : Table1Specs()) {
+    const std::string lo = std::to_string(spec.displacement_lo);
+    const std::string hi = std::to_string(spec.displacement_hi);
+    const std::string above = std::to_string(spec.displacement_hi + 1);
+    const std::string base =
+        "SELECT Name, Type, Displacement FROM BATTLESHIP WHERE Type = '" +
+        std::string(spec.type) + "' AND ";
+    groups.push_back({base + "Displacement >= " + lo,
+                      base + "Displacement >= '" + lo + "'",
+                      base + lo + " <= Displacement",
+                      base + "'" + lo + "' <= Displacement"});
+    groups.push_back({base + "Displacement BETWEEN " + lo + " AND " + hi,
+                      base + "Displacement BETWEEN '" + lo + "' AND " + hi,
+                      base + "Displacement BETWEEN " + lo + " AND '" + hi +
+                          "'"});
+    // Above the type's band: the empty-proof bait.
+    groups.push_back({base + "Displacement > " + above,
+                      base + "Displacement > '" + above + "'",
+                      base + "'" + above + "' < Displacement"});
+  }
+  return groups;
+}
+
 // The corpus leans on Table 1: for each type band we probe the point
 // restriction, an implied range (elimination bait), a straddling range,
-// a disjoint range (empty-proof bait), and bare Displacement ranges.
+// a disjoint range (empty-proof bait), and bare Displacement ranges,
+// then every spelling group above.
 std::vector<std::string> FleetCorpus() {
   std::vector<std::string> corpus;
   for (const FleetTypeSpec& spec : Table1Specs()) {
@@ -57,7 +90,53 @@ std::vector<std::string> FleetCorpus() {
                    "GROUP BY Category");
   corpus.push_back("SELECT Name FROM BATTLESHIP WHERE Displacement > 50000 "
                    "ORDER BY Name");
+  for (const std::vector<std::string>& group : FleetSpellings()) {
+    corpus.insert(corpus.end(), group.begin(), group.end());
+  }
   return corpus;
+}
+
+TEST(SqoSoundnessTest, SpellingsAnswerLikeTheTypedSpelling) {
+  const std::vector<FleetConfig> configs = {{10, 7, false}, {40, 21, true}};
+  const std::vector<std::vector<std::string>> groups = FleetSpellings();
+  for (const FleetConfig& config : configs) {
+    SCOPED_TRACE("ships_per_type=" + std::to_string(config.ships_per_type) +
+                 " seed=" + std::to_string(config.seed));
+    auto fleet = GenerateFleet(config.ships_per_type, config.seed);
+    auto catalog = BuildFleetCatalog();
+    ASSERT_OK(fleet.status());
+    ASSERT_OK(catalog.status());
+    auto system_or = IqsSystem::Create(std::move(fleet).value(),
+                                       std::move(catalog).value());
+    ASSERT_OK(system_or.status());
+    std::unique_ptr<IqsSystem> system = std::move(system_or).value();
+    InductionConfig induction;
+    induction.min_support = 3;
+    induction.prune = config.prune;
+    ASSERT_OK(system->Induce(induction));
+
+    for (SqoMode mode : {SqoMode::kOff, SqoMode::kOn}) {
+      // Uncached, so every spelling derives its own answer.
+      QueryOptions options;
+      options.sqo = mode;
+      options.use_cache = false;
+      for (const std::vector<std::string>& group : groups) {
+        auto typed = system->Query(group[0], options);
+        ASSERT_OK(typed.status());
+        testing_util::ExpectSoundAnswer(*system, *typed, group[0]);
+        for (size_t i = 1; i < group.size(); ++i) {
+          SCOPED_TRACE(group[i]);
+          auto respelled = system->Query(group[i], options);
+          ASSERT_OK(respelled.status());
+          EXPECT_EQ(respelled->extensional.ToTable(),
+                    typed->extensional.ToTable());
+          EXPECT_EQ(respelled->intensional.ToString(),
+                    typed->intensional.ToString());
+          testing_util::ExpectSoundAnswer(*system, *respelled, group[i]);
+        }
+      }
+    }
+  }
 }
 
 TEST(SqoSoundnessTest, RewritesPreserveAnswersAcrossRandomFleets) {

@@ -97,6 +97,27 @@ inline std::vector<std::string> ColumnText(const Relation& rel,
   return out;
 }
 
+// Paper §4 soundness of one served answer: a proven-empty answer has no
+// rows, and every range fact of a forward statement that names a
+// selected column holds on every returned row.
+inline void ExpectSoundAnswer(const IqsSystem& system,
+                              const QueryResult& result,
+                              const std::string& sql) {
+  if (result.intensional.empty_proof().has_value()) {
+    EXPECT_EQ(result.extensional.size(), 0u)
+        << sql << ": proven empty, yet rows came back";
+  }
+  for (const IntensionalStatement& s : result.intensional.statements()) {
+    if (s.direction != AnswerDirection::kContains) continue;
+    Result<double> coverage = system.processor().Coverage(result, s);
+    if (coverage.ok()) {
+      EXPECT_EQ(*coverage, 1.0)
+          << sql << ": forward statement " << s.ToString()
+          << " does not cover every row";
+    }
+  }
+}
+
 // All rule bodies as text (for compact golden comparisons).
 inline std::vector<std::string> RuleBodies(const std::vector<Rule>& rules) {
   std::vector<std::string> out;
