@@ -1,12 +1,11 @@
 #ifndef IQS_QUEL_QUEL_AST_H_
 #define IQS_QUEL_QUEL_AST_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "relational/predicate.h"
 #include "relational/value.h"
+#include "sql/sql_ast.h"
 
 namespace iqs {
 
@@ -25,47 +24,22 @@ namespace iqs {
 // projects. A delete removes those tuples of the deleted variable for
 // which SOME combination of the other variables satisfies the
 // qualification (this is what step 2's anti-join delete relies on).
+//
+// An attribute reference r.Y is the column reference ColumnRef{"r", "Y"}
+// qualified by its tuple variable, and a qualification parses straight
+// into the SQL expression tree with each constant keeping its spelling,
+// so it is the WHERE clause of the SELECT the statement lowers to.
 
-// r.Attr.
-struct QuelAttrRef {
-  std::string variable;
-  std::string attribute;
-
-  std::string ToString() const { return variable + "." + attribute; }
-};
-
-// One target-list element: [name =] r.Attr. The result column name
-// defaults to the attribute name.
+// One target-list element: [name =] r.Attr, with `ref` qualified by the
+// tuple variable. The result column name defaults to the attribute name.
 struct QuelTarget {
   std::string name;  // empty -> attribute name
-  QuelAttrRef ref;
+  ColumnRef ref;
 
   const std::string& effective_name() const {
-    return name.empty() ? ref.attribute : name;
+    return name.empty() ? ref.name : name;
   }
 };
-
-// Qualification expression tree.
-struct QuelExpr {
-  enum class Kind { kComparison, kAnd, kOr, kNot };
-  Kind kind = Kind::kComparison;
-
-  // kComparison operands: attribute refs and/or constants.
-  struct Operand {
-    bool is_attr = false;
-    QuelAttrRef attr;
-    Value constant;
-    std::string raw;  // literal spelling, for CHAR coercion
-  };
-  CompareOp op = CompareOp::kEq;
-  Operand lhs;
-  Operand rhs;
-
-  std::shared_ptr<QuelExpr> left;
-  std::shared_ptr<QuelExpr> right;  // null for kNot
-};
-
-using QuelExprPtr = std::shared_ptr<QuelExpr>;
 
 struct QuelRangeStatement {
   std::string variable;
@@ -76,13 +50,13 @@ struct QuelRetrieveStatement {
   std::string into;  // empty -> anonymous result
   bool unique = false;
   std::vector<QuelTarget> targets;
-  QuelExprPtr where;  // may be null
-  std::vector<QuelAttrRef> sort_by;
+  SqlExprPtr where;  // may be null
+  std::vector<ColumnRef> sort_by;
 };
 
 struct QuelDeleteStatement {
   std::string variable;
-  QuelExprPtr where;  // may be null (deletes everything)
+  SqlExprPtr where;  // may be null (deletes everything)
 };
 
 struct QuelAppendStatement {

@@ -111,11 +111,12 @@ class QuelParser {
     return out;
   }
 
-  Result<QuelAttrRef> ParseAttrRef() {
-    QuelAttrRef ref;
-    IQS_ASSIGN_OR_RETURN(ref.variable, ExpectIdent("a tuple variable"));
+  // var.attr, as a column qualified by its tuple variable.
+  Result<ColumnRef> ParseAttrRef() {
+    ColumnRef ref;
+    IQS_ASSIGN_OR_RETURN(ref.qualifier, ExpectIdent("a tuple variable"));
     IQS_RETURN_IF_ERROR(ExpectSymbol("."));
-    IQS_ASSIGN_OR_RETURN(ref.attribute, ExpectIdent("an attribute"));
+    IQS_ASSIGN_OR_RETURN(ref.name, ExpectIdent("an attribute"));
     return ref;
   }
 
@@ -156,7 +157,7 @@ class QuelParser {
       Advance();
       IQS_RETURN_IF_ERROR(ExpectKeyword("by"));
       while (true) {
-        IQS_ASSIGN_OR_RETURN(QuelAttrRef ref, ParseAttrRef());
+        IQS_ASSIGN_OR_RETURN(ColumnRef ref, ParseAttrRef());
         out.sort_by.push_back(std::move(ref));
         if (Peek().IsSymbol(",")) {
           Advance();
@@ -190,10 +191,12 @@ class QuelParser {
     while (true) {
       IQS_ASSIGN_OR_RETURN(std::string attr, ExpectIdent("an attribute"));
       IQS_RETURN_IF_ERROR(ExpectSymbol("="));
-      IQS_ASSIGN_OR_RETURN(QuelExpr::Operand value, ParseOperand());
-      if (value.is_attr) return Error("append values must be constants");
+      IQS_ASSIGN_OR_RETURN(SqlOperand value, ParseOperand());
+      if (value.kind == SqlOperand::Kind::kColumn) {
+        return Error("append values must be constants");
+      }
       out.attributes.push_back(std::move(attr));
-      out.values.push_back(std::move(value.constant));
+      out.values.push_back(std::move(value.literal));
       out.raw.push_back(std::move(value.raw));
       if (Peek().IsSymbol(",")) {
         Advance();
@@ -205,13 +208,13 @@ class QuelParser {
     return out;
   }
 
-  Result<QuelExprPtr> ParseOr() {
-    IQS_ASSIGN_OR_RETURN(QuelExprPtr left, ParseAnd());
+  Result<SqlExprPtr> ParseOr() {
+    IQS_ASSIGN_OR_RETURN(SqlExprPtr left, ParseAnd());
     while (Peek().IsKeyword("or")) {
       Advance();
-      IQS_ASSIGN_OR_RETURN(QuelExprPtr right, ParseAnd());
-      auto node = std::make_shared<QuelExpr>();
-      node->kind = QuelExpr::Kind::kOr;
+      IQS_ASSIGN_OR_RETURN(SqlExprPtr right, ParseAnd());
+      auto node = std::make_shared<SqlExpr>();
+      node->kind = SqlExpr::Kind::kOr;
       node->left = std::move(left);
       node->right = std::move(right);
       left = std::move(node);
@@ -219,13 +222,13 @@ class QuelParser {
     return left;
   }
 
-  Result<QuelExprPtr> ParseAnd() {
-    IQS_ASSIGN_OR_RETURN(QuelExprPtr left, ParseNot());
+  Result<SqlExprPtr> ParseAnd() {
+    IQS_ASSIGN_OR_RETURN(SqlExprPtr left, ParseNot());
     while (Peek().IsKeyword("and")) {
       Advance();
-      IQS_ASSIGN_OR_RETURN(QuelExprPtr right, ParseNot());
-      auto node = std::make_shared<QuelExpr>();
-      node->kind = QuelExpr::Kind::kAnd;
+      IQS_ASSIGN_OR_RETURN(SqlExprPtr right, ParseNot());
+      auto node = std::make_shared<SqlExpr>();
+      node->kind = SqlExpr::Kind::kAnd;
       node->left = std::move(left);
       node->right = std::move(right);
       left = std::move(node);
@@ -233,27 +236,27 @@ class QuelParser {
     return left;
   }
 
-  Result<QuelExprPtr> ParseNot() {
+  Result<SqlExprPtr> ParseNot() {
     if (Peek().IsKeyword("not")) {
       Advance();
-      IQS_ASSIGN_OR_RETURN(QuelExprPtr inner, ParseNot());
-      auto node = std::make_shared<QuelExpr>();
-      node->kind = QuelExpr::Kind::kNot;
+      IQS_ASSIGN_OR_RETURN(SqlExprPtr inner, ParseNot());
+      auto node = std::make_shared<SqlExpr>();
+      node->kind = SqlExpr::Kind::kNot;
       node->left = std::move(inner);
       return node;
     }
     if (Peek().IsSymbol("(")) {
       Advance();
-      IQS_ASSIGN_OR_RETURN(QuelExprPtr inner, ParseOr());
+      IQS_ASSIGN_OR_RETURN(SqlExprPtr inner, ParseOr());
       IQS_RETURN_IF_ERROR(ExpectSymbol(")"));
       return inner;
     }
     return ParseComparison();
   }
 
-  Result<QuelExprPtr> ParseComparison() {
-    auto node = std::make_shared<QuelExpr>();
-    node->kind = QuelExpr::Kind::kComparison;
+  Result<SqlExprPtr> ParseComparison() {
+    auto node = std::make_shared<SqlExpr>();
+    node->kind = SqlExpr::Kind::kComparison;
     IQS_ASSIGN_OR_RETURN(node->lhs, ParseOperand());
     if (Peek().IsSymbol("=")) {
       node->op = CompareOp::kEq;
@@ -275,33 +278,25 @@ class QuelParser {
     return node;
   }
 
-  Result<QuelExpr::Operand> ParseOperand() {
-    QuelExpr::Operand out;
+  Result<SqlOperand> ParseOperand() {
     const SqlToken& t = Peek();
     switch (t.kind) {
       case SqlTokenKind::kIdent: {
-        out.is_attr = true;
-        IQS_ASSIGN_OR_RETURN(out.attr, ParseAttrRef());
-        return out;
+        IQS_ASSIGN_OR_RETURN(ColumnRef ref, ParseAttrRef());
+        return SqlOperand::Column(std::move(ref));
       }
       case SqlTokenKind::kString:
-        out.constant = Value::String(t.text);
-        out.raw = t.text;
         Advance();
-        return out;
-      case SqlTokenKind::kInt: {
-        IQS_ASSIGN_OR_RETURN(out.constant,
-                             Value::FromText(ValueType::kInt, t.text));
-        out.raw = t.text;
-        Advance();
-        return out;
-      }
+        return SqlOperand::Literal(Value::String(t.text), t.text);
+      case SqlTokenKind::kInt:
       case SqlTokenKind::kReal: {
-        IQS_ASSIGN_OR_RETURN(out.constant,
-                             Value::FromText(ValueType::kReal, t.text));
-        out.raw = t.text;
+        IQS_ASSIGN_OR_RETURN(
+            Value v, Value::FromText(t.kind == SqlTokenKind::kInt
+                                         ? ValueType::kInt
+                                         : ValueType::kReal,
+                                     t.text));
         Advance();
-        return out;
+        return SqlOperand::Literal(std::move(v), t.text);
       }
       default:
         return Error("expected an attribute reference or constant");

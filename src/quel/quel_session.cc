@@ -1,14 +1,23 @@
 #include "quel/quel_session.h"
 
-#include <algorithm>
 #include <set>
 
 #include "common/string_util.h"
 #include "exec/exec_context.h"
 #include "quel/quel_parser.h"
-#include "relational/algebra.h"
+#include "sql/binder.h"
+#include "sql/sql_executor.h"
 
 namespace iqs {
+
+namespace {
+
+bool SameColumn(const ColumnRef& a, const ColumnRef& b) {
+  return EqualsIgnoreCase(a.qualifier, b.qualifier) &&
+         EqualsIgnoreCase(a.name, b.name);
+}
+
+}  // namespace
 
 Result<QuelSession::ExecutionResult> QuelSession::ExecuteText(
     const std::string& text) {
@@ -79,190 +88,41 @@ void QuelSession::AddVariable(const std::string& variable,
   out->push_back(variable);
 }
 
-void QuelSession::CollectVariables(const QuelExprPtr& expr,
+void QuelSession::CollectVariables(const SqlExpr* expr,
                                    std::vector<std::string>* out) {
   if (expr == nullptr) return;
-  if (expr->kind == QuelExpr::Kind::kComparison) {
-    if (expr->lhs.is_attr) AddVariable(expr->lhs.attr.variable, out);
-    if (expr->rhs.is_attr) AddVariable(expr->rhs.attr.variable, out);
+  if (expr->kind == SqlExpr::Kind::kComparison) {
+    for (const SqlOperand* side : {&expr->lhs, &expr->rhs}) {
+      if (side->kind == SqlOperand::Kind::kColumn) {
+        AddVariable(side->column.qualifier, out);
+      }
+    }
     return;
   }
-  CollectVariables(expr->left, out);
-  CollectVariables(expr->right, out);
+  CollectVariables(expr->left.get(), out);
+  CollectVariables(expr->right.get(), out);
 }
 
-Result<const Relation*> QuelSession::ResolveVariable(
-    const std::string& variable) const {
-  IQS_ASSIGN_OR_RETURN(std::string relation, RelationOf(variable));
-  if (db_->IsVirtual(relation)) {
-    std::string key = ToLower(relation);
-    auto it = virtual_snapshots_.find(key);
-    if (it == virtual_snapshots_.end()) {
-      IQS_ASSIGN_OR_RETURN(Relation snapshot,
-                           db_->MaterializeVirtual(relation));
-      it = virtual_snapshots_.emplace(key, std::move(snapshot)).first;
-    }
-    return &it->second;
+Result<SelectStatement> QuelSession::Lower(
+    const std::vector<std::string>& variables,
+    const SqlExprPtr& where) const {
+  SelectStatement select;
+  for (const std::string& variable : variables) {
+    IQS_ASSIGN_OR_RETURN(std::string relation, RelationOf(variable));
+    select.from.push_back(TableRef{std::move(relation), variable});
   }
-  return db_->Get(relation);
+  select.where = where;
+  return select;
 }
 
-Result<Value> QuelSession::EvalOperand(const QuelExpr::Operand& operand,
-                                       const std::vector<Binding>& bindings,
-                                       const QuelExpr::Operand& other) {
-  if (operand.is_attr) {
-    for (const Binding& b : bindings) {
-      if (!EqualsIgnoreCase(b.variable, operand.attr.variable)) continue;
-      IQS_ASSIGN_OR_RETURN(size_t idx,
-                           b.relation->schema().IndexOf(
-                               operand.attr.attribute));
-      return b.current->at(idx);
-    }
-    return Status::NotFound("tuple variable '" + operand.attr.variable +
-                            "' is not bound in this statement");
-  }
-  // Constant: coerce numeric spellings against a string attribute on the
-  // other side (the paper compares CHAR class codes with 0101-style
-  // literals).
-  if (other.is_attr && operand.constant.type() != ValueType::kString) {
-    for (const Binding& b : bindings) {
-      if (!EqualsIgnoreCase(b.variable, other.attr.variable)) continue;
-      auto idx = b.relation->schema().IndexOf(other.attr.attribute);
-      if (idx.ok() &&
-          b.relation->schema().attribute(*idx).type == ValueType::kString) {
-        return Value::String(operand.raw.empty()
-                                 ? operand.constant.ToString()
-                                 : operand.raw);
-      }
-    }
-  }
-  return operand.constant;
-}
-
-Result<bool> QuelSession::Eval(const QuelExpr& expr,
-                               const std::vector<Binding>& bindings) {
-  switch (expr.kind) {
-    case QuelExpr::Kind::kComparison: {
-      IQS_ASSIGN_OR_RETURN(Value lhs,
-                           EvalOperand(expr.lhs, bindings, expr.rhs));
-      IQS_ASSIGN_OR_RETURN(Value rhs,
-                           EvalOperand(expr.rhs, bindings, expr.lhs));
-      return ApplyCompare(expr.op, lhs, rhs);
-    }
-    case QuelExpr::Kind::kAnd: {
-      IQS_ASSIGN_OR_RETURN(bool l, Eval(*expr.left, bindings));
-      if (!l) return false;
-      return Eval(*expr.right, bindings);
-    }
-    case QuelExpr::Kind::kOr: {
-      IQS_ASSIGN_OR_RETURN(bool l, Eval(*expr.left, bindings));
-      if (l) return true;
-      return Eval(*expr.right, bindings);
-    }
-    case QuelExpr::Kind::kNot: {
-      IQS_ASSIGN_OR_RETURN(bool v, Eval(*expr.left, bindings));
-      return !v;
-    }
-  }
-  return Status::Internal("unreachable QUEL expression kind");
-}
-
-bool QuelSession::TryConvertOperand(const QuelExpr::Operand& operand,
-                                    const Binding& binding,
-                                    const QuelExpr::Operand& other,
-                                    ExprPtr* out) {
-  if (operand.is_attr) {
-    if (!EqualsIgnoreCase(operand.attr.variable, binding.variable)) {
-      return false;
-    }
-    auto idx = binding.relation->schema().IndexOf(operand.attr.attribute);
-    // An unknown attribute is a PER-ROW error in the row path (an empty
-    // relation yields an empty answer, not an error) — fall back so the
-    // row path reproduces that behavior exactly.
-    if (!idx.ok()) return false;
-    *out = MakeColumn(*idx);
-    return true;
-  }
-  // Mirror EvalOperand's coercion: a non-string constant compared with a
-  // string attribute keeps its raw spelling.
-  Value v = operand.constant;
-  if (other.is_attr && v.type() != ValueType::kString &&
-      EqualsIgnoreCase(other.attr.variable, binding.variable)) {
-    auto idx = binding.relation->schema().IndexOf(other.attr.attribute);
-    if (idx.ok() &&
-        binding.relation->schema().attribute(*idx).type ==
-            ValueType::kString) {
-      v = Value::String(operand.raw.empty() ? v.ToString() : operand.raw);
-    }
-  }
-  *out = MakeConstant(std::move(v));
-  return true;
-}
-
-bool QuelSession::TryConvertExpr(const QuelExpr& expr, const Binding& binding,
-                                 PredicatePtr* out) {
-  switch (expr.kind) {
-    case QuelExpr::Kind::kComparison: {
-      ExprPtr lhs, rhs;
-      if (!TryConvertOperand(expr.lhs, binding, expr.rhs, &lhs) ||
-          !TryConvertOperand(expr.rhs, binding, expr.lhs, &rhs)) {
-        return false;
-      }
-      *out = MakeCompare(expr.op, std::move(lhs), std::move(rhs));
-      return true;
-    }
-    case QuelExpr::Kind::kAnd:
-    case QuelExpr::Kind::kOr: {
-      PredicatePtr l, r;
-      if (!TryConvertExpr(*expr.left, binding, &l) ||
-          !TryConvertExpr(*expr.right, binding, &r)) {
-        return false;
-      }
-      *out = expr.kind == QuelExpr::Kind::kAnd
-                 ? MakeAnd(std::move(l), std::move(r))
-                 : MakeOr(std::move(l), std::move(r));
-      return true;
-    }
-    case QuelExpr::Kind::kNot: {
-      PredicatePtr inner;
-      if (!TryConvertExpr(*expr.left, binding, &inner)) return false;
-      *out = MakeNot(std::move(inner));
-      return true;
-    }
-  }
-  return false;
-}
-
-Result<bool> QuelSession::TryColumnarRetrieve(
-    const QuelRetrieveStatement& stmt, const Binding& binding,
-    const std::vector<std::pair<size_t, size_t>>& sources, Relation* result,
-    ExecutionResult* counters) const {
-  IQS_ASSIGN_OR_RETURN(std::string relation, RelationOf(binding.variable));
-  if (db_->IsVirtual(relation)) return false;
-  PredicatePtr pred;
-  if (!TryConvertExpr(*stmt.where, binding, &pred)) return false;
-  Result<std::shared_ptr<const ColumnarRelation>> snap =
-      db_->ColumnarSnapshot(relation);
-  if (!snap.ok()) return false;
-  ExtractedConjuncts split = ExtractColumnConditions(pred, **snap);
-  if (split.conditions.empty()) return false;
-  ColumnarScanStats scan_stats;
-  IQS_ASSIGN_OR_RETURN(std::vector<uint32_t> admitted,
-                       ColumnarScan(**snap, split.conditions,
-                                    split.residual.get(), &scan_stats));
-  std::set<Tuple> seen;
-  for (uint32_t r : admitted) {
-    Tuple row;
-    for (const auto& [which, column] : sources) {
-      (void)which;  // single binding: always 0
-      row.Append((*snap)->column(column).Get(r));
-    }
-    if (stmt.unique && !seen.insert(row).second) continue;
-    result->AppendUnchecked(std::move(row));
-  }
-  counters->columnar_blocks_total += scan_stats.blocks_total;
-  counters->columnar_blocks_pruned += scan_stats.blocks_pruned;
-  return true;
+Result<Relation> QuelSession::Run(const SelectStatement& select,
+                                  ExecutionResult* out) const {
+  IQS_GOV_CHECKPOINT("quel.scan");
+  SqlExecutor executor(db_);
+  IQS_ASSIGN_OR_RETURN(Relation rows, executor.Execute(select));
+  out->columnar_blocks_total = executor.last_stats().columnar_blocks_total;
+  out->columnar_blocks_pruned = executor.last_stats().columnar_blocks_pruned;
+  return rows;
 }
 
 Result<QuelSession::ExecutionResult> QuelSession::ExecuteRetrieve(
@@ -270,111 +130,59 @@ Result<QuelSession::ExecutionResult> QuelSession::ExecuteRetrieve(
   if (stmt.targets.empty()) {
     return Status::InvalidArgument("retrieve needs a target list");
   }
-  virtual_snapshots_.clear();
   // Variables in first-use order: targets, then qualification.
   std::vector<std::string> variables;
   for (const QuelTarget& t : stmt.targets) {
-    AddVariable(t.ref.variable, &variables);
+    AddVariable(t.ref.qualifier, &variables);
   }
-  CollectVariables(stmt.where, &variables);
-  for (const QuelAttrRef& ref : stmt.sort_by) {
-    AddVariable(ref.variable, &variables);
-  }
-  std::vector<Binding> bindings;
-  for (const std::string& variable : variables) {
-    IQS_ASSIGN_OR_RETURN(const Relation* rel, ResolveVariable(variable));
-    bindings.push_back(Binding{variable, rel, nullptr});
-  }
+  CollectVariables(stmt.where.get(), &variables);
+  IQS_ASSIGN_OR_RETURN(SelectStatement select, Lower(variables, stmt.where));
+  select.distinct = stmt.unique;
 
-  // Result schema from the targets.
+  // The result attributes are named by the targets. The executor cannot
+  // select one column twice (its output names would collide), so a
+  // column two targets name is one select item; item_of[i] is target
+  // i's.
   std::vector<AttributeDef> attrs;
-  std::vector<std::pair<size_t, size_t>> sources;  // (binding, column)
+  std::vector<size_t> item_of;
   for (const QuelTarget& target : stmt.targets) {
-    size_t which = 0;
-    while (!EqualsIgnoreCase(bindings[which].variable, target.ref.variable)) {
-      ++which;
+    attrs.push_back(AttributeDef{target.effective_name()});
+    size_t item = 0;
+    while (item < select.select_list.size() &&
+           !SameColumn(select.select_list[item].column, target.ref)) {
+      ++item;
     }
-    IQS_ASSIGN_OR_RETURN(size_t column,
-                         bindings[which].relation->schema().IndexOf(
-                             target.ref.attribute));
-    AttributeDef def =
-        bindings[which].relation->schema().attribute(column);
-    def.name = target.effective_name();
-    def.is_key = false;
-    attrs.push_back(std::move(def));
-    sources.emplace_back(which, column);
+    if (item == select.select_list.size()) {
+      select.select_list.push_back(SelectItem{.column = target.ref});
+    }
+    item_of.push_back(item);
   }
-  IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-  Relation result(stmt.into.empty() ? "retrieve" : stmt.into,
-                  std::move(schema));
+  // Duplicate target names fail here, before the qualification binds.
+  IQS_RETURN_IF_ERROR(Schema::Create(attrs).status());
+  for (const ColumnRef& ref : stmt.sort_by) {
+    bool found = false;
+    for (const QuelTarget& target : stmt.targets) {
+      found = found || SameColumn(target.ref, ref);
+    }
+    if (!found) {
+      return Status::InvalidArgument("sort attribute " + ref.ToString() +
+                                     " is not in the target list");
+    }
+    select.order_by.push_back(OrderItem{ref, false});
+  }
 
-  // Columnar fast path: a qualified single-variable retrieve over a
-  // stored relation runs as a batch scan over the columnar snapshot.
   ExecutionResult out;
-  bool scanned = false;
-  if (bindings.size() == 1 && stmt.where != nullptr && ColumnarEnabled()) {
-    IQS_ASSIGN_OR_RETURN(
-        scanned,
-        TryColumnarRetrieve(stmt, bindings[0], sources, &result, &out));
+  IQS_ASSIGN_OR_RETURN(Relation rows, Run(select, &out));
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    attrs[i].type = rows.schema().attribute(item_of[i]).type;
   }
-
-  if (!scanned) {
-    // Iterate the cross product of the bindings. Governed per 1024
-    // candidate combinations, with the freshly kept rows charged — a
-    // multi-variable retrieve is QUEL's runaway shape.
-    std::set<Tuple> seen;
-    size_t visited = 0;
-    size_t charged_rows = 0;
-    auto emit = [&]() -> Status {
-      if ((visited++ & 1023) == 0) {
-        IQS_RETURN_IF_ERROR(exec::ChargeRows(
-            "quel.scan", result.size() - charged_rows, sources.size()));
-        charged_rows = result.size();
-      }
-      if (stmt.where != nullptr) {
-        IQS_ASSIGN_OR_RETURN(bool keep, Eval(*stmt.where, bindings));
-        if (!keep) return Status::Ok();
-      }
-      Tuple row;
-      for (const auto& [which, column] : sources) {
-        row.Append(bindings[which].current->at(column));
-      }
-      if (stmt.unique && !seen.insert(row).second) return Status::Ok();
-      result.AppendUnchecked(std::move(row));
-      return Status::Ok();
-    };
-    auto recurse = [&](auto&& self, size_t depth) -> Status {
-      if (depth == bindings.size()) return emit();
-      for (const Tuple& t : bindings[depth].relation->rows()) {
-        bindings[depth].current = &t;
-        IQS_RETURN_IF_ERROR(self(self, depth + 1));
-      }
-      return Status::Ok();
-    };
-    IQS_RETURN_IF_ERROR(recurse(recurse, 0));
+  Relation result(stmt.into.empty() ? "retrieve" : stmt.into,
+                  Schema(std::move(attrs)));
+  for (const Tuple& row : rows.rows()) {
+    Tuple projected;
+    for (size_t item : item_of) projected.Append(row.at(item));
+    result.AppendUnchecked(std::move(projected));
   }
-
-  // sort by: each ref must correspond to a target column.
-  if (!stmt.sort_by.empty()) {
-    std::vector<std::string> keys;
-    for (const QuelAttrRef& ref : stmt.sort_by) {
-      bool found = false;
-      for (size_t i = 0; i < stmt.targets.size(); ++i) {
-        if (EqualsIgnoreCase(stmt.targets[i].ref.variable, ref.variable) &&
-            EqualsIgnoreCase(stmt.targets[i].ref.attribute, ref.attribute)) {
-          keys.push_back(stmt.targets[i].effective_name());
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::InvalidArgument("sort attribute " + ref.ToString() +
-                                       " is not in the target list");
-      }
-    }
-    IQS_RETURN_IF_ERROR(result.SortBy(keys));
-  }
-
   if (!stmt.into.empty()) {
     if (db_->Contains(stmt.into)) {
       IQS_RETURN_IF_ERROR(db_->Drop(stmt.into));
@@ -387,58 +195,33 @@ Result<QuelSession::ExecutionResult> QuelSession::ExecuteRetrieve(
 
 Result<QuelSession::ExecutionResult> QuelSession::ExecuteDelete(
     const QuelDeleteStatement& stmt) {
-  virtual_snapshots_.clear();
   IQS_ASSIGN_OR_RETURN(std::string target_name, RelationOf(stmt.variable));
   if (db_->IsVirtual(target_name)) {
     return Status::InvalidArgument("relation '" + target_name +
                                    "' is a virtual catalog relation and is "
                                    "read-only");
   }
-  IQS_ASSIGN_OR_RETURN(Relation * target, db_->GetMutable(target_name));
-
-  // Other variables mentioned by the qualification.
-  std::vector<std::string> variables;
-  AddVariable(stmt.variable, &variables);
-  CollectVariables(stmt.where, &variables);
-  std::vector<Binding> bindings;
-  for (const std::string& variable : variables) {
-    IQS_ASSIGN_OR_RETURN(const Relation* rel, ResolveVariable(variable));
-    bindings.push_back(Binding{variable, rel, nullptr});
+  // SELECT DISTINCT <every attribute of the deleted variable> over the
+  // deleted variable and the qualification's: the target tuples for
+  // which some combination of the others qualifies. The qualification
+  // sees only values, so a target row goes exactly when it equals one of
+  // them. The scan runs before GetMutable, which would retire the
+  // columnar snapshot it reads.
+  std::vector<std::string> variables = {stmt.variable};
+  CollectVariables(stmt.where.get(), &variables);
+  IQS_ASSIGN_OR_RETURN(SelectStatement select, Lower(variables, stmt.where));
+  IQS_ASSIGN_OR_RETURN(const Relation* target, db_->Get(target_name));
+  select.distinct = true;
+  for (const AttributeDef& attr : target->schema().attributes()) {
+    select.select_list.push_back(
+        SelectItem{.column = ColumnRef{stmt.variable, attr.name}});
   }
-
-  // For each target tuple: does SOME combination of the other variables
-  // satisfy the qualification?
-  std::vector<bool> doomed(target->size(), false);
-  for (size_t row = 0; row < target->size(); ++row) {
-    if ((row & 1023) == 0) IQS_GOV_CHECKPOINT("quel.scan");
-    bindings[0].current = &target->row(row);
-    if (stmt.where == nullptr) {
-      doomed[row] = true;
-      continue;
-    }
-    bool exists = false;
-    auto recurse = [&](auto&& self, size_t depth) -> Status {
-      if (exists) return Status::Ok();
-      if (depth == bindings.size()) {
-        IQS_ASSIGN_OR_RETURN(bool match, Eval(*stmt.where, bindings));
-        if (match) exists = true;
-        return Status::Ok();
-      }
-      for (const Tuple& t : bindings[depth].relation->rows()) {
-        bindings[depth].current = &t;
-        IQS_RETURN_IF_ERROR(self(self, depth + 1));
-        if (exists) break;
-      }
-      return Status::Ok();
-    };
-    IQS_RETURN_IF_ERROR(recurse(recurse, 1));
-    doomed[row] = exists;
-  }
-  size_t index = 0;
-  size_t removed = target->DeleteWhere(
-      [&doomed, &index](const Tuple&) { return doomed[index++]; });
   ExecutionResult out;
-  out.affected = removed;
+  IQS_ASSIGN_OR_RETURN(Relation doomed, Run(select, &out));
+  std::set<Tuple> doomed_rows(doomed.rows().begin(), doomed.rows().end());
+  IQS_ASSIGN_OR_RETURN(Relation * rows, db_->GetMutable(target_name));
+  out.affected = rows->DeleteWhere(
+      [&doomed_rows](const Tuple& t) { return doomed_rows.count(t) > 0; });
   return out;
 }
 
@@ -454,12 +237,9 @@ Result<QuelSession::ExecutionResult> QuelSession::ExecuteAppend(
   std::vector<Value> row(schema.size(), Value::Null());
   for (size_t i = 0; i < stmt.attributes.size(); ++i) {
     IQS_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(stmt.attributes[i]));
-    Value v = stmt.values[i];
-    if (schema.attribute(idx).type == ValueType::kString &&
-        v.type() != ValueType::kString && !v.is_null()) {
-      v = Value::String(stmt.raw[i].empty() ? v.ToString() : stmt.raw[i]);
-    }
-    row[idx] = std::move(v);
+    IQS_ASSIGN_OR_RETURN(row[idx],
+                         CoerceLiteral(stmt.values[i], stmt.raw[i],
+                                       schema.attribute(idx).type));
   }
   IQS_RETURN_IF_ERROR(target->Insert(Tuple(std::move(row))));
   ExecutionResult out;

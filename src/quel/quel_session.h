@@ -7,7 +7,7 @@
 
 #include "quel/quel_ast.h"
 #include "relational/database.h"
-#include "relational/predicate.h"
+#include "sql/sql_ast.h"
 
 namespace iqs {
 
@@ -27,6 +27,16 @@ namespace iqs {
 // the same name. A delete removes the tuples of its variable for which
 // some combination of the other mentioned variables satisfies the
 // qualification.
+//
+// Retrieve and delete lower to a SELECT run by the SQL binder and
+// executor: the variables, in first-use order, are the FROM entries
+// (each aliased by its variable), the qualification is the WHERE, the
+// targets the select list, `unique` DISTINCT and `sort by` ORDER BY. So
+// QUEL compares, coerces literals and scans exactly as SQL does. A
+// retrieve reports its errors in this order: an undeclared variable,
+// duplicate target names, a sort key outside the target list, then
+// whatever binding and executing the SELECT reports (an unknown
+// relation or attribute, an uncoercible constant, a per-row error).
 class QuelSession {
  public:
   // `db` must outlive the session.
@@ -35,8 +45,8 @@ class QuelSession {
   struct ExecutionResult {
     Relation relation;    // retrieve output; empty otherwise
     size_t affected = 0;  // deleted / appended tuple count
-    // Columnar fast-path accounting for this statement (zero when the
-    // row path ran): zone-map blocks considered and skipped.
+    // The executor's zone-map accounting for this statement (zero when
+    // no columnar scan ran): blocks considered and skipped.
     size_t columnar_blocks_total = 0;
     size_t columnar_blocks_pruned = 0;
   };
@@ -50,56 +60,29 @@ class QuelSession {
   Result<std::string> RelationOf(const std::string& variable) const;
 
  private:
-  struct Binding {
-    std::string variable;
-    const Relation* relation = nullptr;
-    const Tuple* current = nullptr;
-  };
-
   Result<ExecutionResult> ExecuteRange(const QuelRangeStatement& stmt);
   Result<ExecutionResult> ExecuteRetrieve(const QuelRetrieveStatement& stmt);
   Result<ExecutionResult> ExecuteDelete(const QuelDeleteStatement& stmt);
   Result<ExecutionResult> ExecuteAppend(const QuelAppendStatement& stmt);
 
-  // Collects the variables a statement mentions, in first-use order.
-  static void CollectVariables(const QuelExprPtr& expr,
+  // Collects the variables a qualification mentions, in first-use order.
+  static void CollectVariables(const SqlExpr* expr,
                                std::vector<std::string>* out);
   static void AddVariable(const std::string& variable,
                           std::vector<std::string>* out);
 
-  Result<const Relation*> ResolveVariable(const std::string& variable) const;
-
-  // Evaluates `expr` under the current bindings.
-  static Result<bool> Eval(const QuelExpr& expr,
-                           const std::vector<Binding>& bindings);
-  static Result<Value> EvalOperand(const QuelExpr::Operand& operand,
-                                   const std::vector<Binding>& bindings,
-                                   const QuelExpr::Operand& other);
-
-  // Columnar fast path for a single-variable qualified retrieve: the
-  // qualification is converted to a bound Predicate over the variable's
-  // relation (replicating EvalOperand's raw-spelling coercion exactly)
-  // and run as a zone-map-pruned batch scan. Appends the admitted
-  // target tuples to `*result` (honoring `unique`) and returns true; a
-  // false return means nothing was appended and the row path must run.
-  static bool TryConvertOperand(const QuelExpr::Operand& operand,
-                                const Binding& binding,
-                                const QuelExpr::Operand& other, ExprPtr* out);
-  static bool TryConvertExpr(const QuelExpr& expr, const Binding& binding,
-                             PredicatePtr* out);
-  Result<bool> TryColumnarRetrieve(
-      const QuelRetrieveStatement& stmt, const Binding& binding,
-      const std::vector<std::pair<size_t, size_t>>& sources, Relation* result,
-      ExecutionResult* counters) const;
+  // The SELECT skeleton a retrieve or delete lowers to: one FROM entry
+  // per variable, over its range relation and aliased by the variable,
+  // and `where` as the WHERE clause.
+  Result<SelectStatement> Lower(const std::vector<std::string>& variables,
+                                const SqlExprPtr& where) const;
+  // Binds and executes a lowered statement (one quel.scan checkpoint),
+  // recording the executor's zone-map accounting in `*out`.
+  Result<Relation> Run(const SelectStatement& select,
+                       ExecutionResult* out) const;
 
   Database* db_;
   std::map<std::string, std::string> ranges_;  // lower(var) -> relation
-  // Per-statement snapshots of virtual sys.* relations, keyed by
-  // lowercased relation name. Cleared at the start of every retrieve /
-  // delete so one statement reads one consistent snapshot while Binding
-  // pointers into it stay valid. Mutable: filled lazily by the const
-  // ResolveVariable().
-  mutable std::map<std::string, Relation> virtual_snapshots_;
 };
 
 }  // namespace iqs

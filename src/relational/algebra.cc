@@ -1,271 +1,9 @@
 #include "relational/algebra.h"
 
-#include <map>
-#include <set>
-
-#include "common/string_util.h"
 #include "exec/exec_context.h"
 #include "exec/parallel.h"
 
 namespace iqs {
-
-namespace {
-
-// True when `name` already contains a qualifier dot.
-bool IsQualified(const std::string& name) {
-  return name.find('.') != std::string::npos;
-}
-
-Status CheckUnionCompatible(const Relation& left, const Relation& right) {
-  if (left.schema().size() != right.schema().size()) {
-    return Status::TypeError("schemas have different arity: " +
-                             left.name() + " vs " + right.name());
-  }
-  for (size_t i = 0; i < left.schema().size(); ++i) {
-    if (left.schema().attribute(i).type != right.schema().attribute(i).type) {
-      return Status::TypeError(
-          "attribute " + std::to_string(i) + " type mismatch: " +
-          std::string(ValueTypeName(left.schema().attribute(i).type)) +
-          " vs " + ValueTypeName(right.schema().attribute(i).type));
-    }
-  }
-  return Status::Ok();
-}
-
-Schema StripKeys(const Schema& schema) {
-  std::vector<AttributeDef> attrs = schema.attributes();
-  for (AttributeDef& a : attrs) a.is_key = false;
-  return Schema(std::move(attrs));
-}
-
-}  // namespace
-
-Relation QualifyAttributes(const Relation& input) {
-  std::vector<AttributeDef> attrs = input.schema().attributes();
-  for (AttributeDef& a : attrs) {
-    if (!IsQualified(a.name)) a.name = input.name() + "." + a.name;
-    a.is_key = false;
-  }
-  Relation out(input.name(), Schema(std::move(attrs)));
-  for (const Tuple& t : input.rows()) out.AppendUnchecked(t);
-  return out;
-}
-
-Result<Relation> Select(const Relation& input, const Predicate& pred) {
-  // Partitioned scan: chunks evaluate the predicate independently into
-  // local row vectors, concatenated in chunk order — the output row order
-  // (and the first error reported) matches the serial scan exactly.
-  const std::vector<Tuple>& rows = input.rows();
-  using Part = Result<std::vector<Tuple>>;
-  Part kept = exec::ParallelReduce<Part>(
-      "exec.scan", rows.size(), 256, std::vector<Tuple>{},
-      [&rows, &pred](size_t begin, size_t end) -> Part {
-        std::vector<Tuple> local;
-        for (size_t i = begin; i < end; ++i) {
-          if (((i - begin) & 1023) == 0) IQS_GOV_CHECKPOINT("sql.scan");
-          IQS_ASSIGN_OR_RETURN(bool keep, pred.Eval(rows[i]));
-          if (keep) local.push_back(rows[i]);
-        }
-        return local;
-      },
-      [](Part* acc, Part&& part) {
-        if (!acc->ok()) return;
-        if (!part.ok()) {
-          *acc = std::move(part);
-          return;
-        }
-        std::vector<Tuple>& dst = **acc;
-        for (Tuple& t : *part) dst.push_back(std::move(t));
-      });
-  if (!kept.ok()) return kept.status();
-  Relation out(input.name() + "+sel", StripKeys(input.schema()));
-  for (Tuple& t : *kept) out.AppendUnchecked(std::move(t));
-  return out;
-}
-
-Result<Relation> Project(const Relation& input,
-                         const std::vector<std::string>& attribute_names,
-                         bool distinct) {
-  std::vector<size_t> indices;
-  std::vector<AttributeDef> attrs;
-  indices.reserve(attribute_names.size());
-  for (const std::string& name : attribute_names) {
-    IQS_ASSIGN_OR_RETURN(size_t idx, input.schema().IndexOf(name));
-    indices.push_back(idx);
-    AttributeDef def = input.schema().attribute(idx);
-    def.is_key = false;
-    attrs.push_back(def);
-  }
-  IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-  Relation out(input.name() + "+proj", std::move(schema));
-  std::set<Tuple> seen;
-  for (const Tuple& t : input.rows()) {
-    Tuple projected;
-    for (size_t idx : indices) projected.Append(t.at(idx));
-    if (distinct) {
-      if (!seen.insert(projected).second) continue;
-    }
-    out.AppendUnchecked(std::move(projected));
-  }
-  return out;
-}
-
-Result<Relation> SortedUniqueProject(
-    const Relation& input, const std::vector<std::string>& attribute_names,
-    const std::vector<std::string>& sort_by) {
-  IQS_ASSIGN_OR_RETURN(Relation out,
-                       Project(input, attribute_names, /*distinct=*/true));
-  IQS_RETURN_IF_ERROR(out.SortBy(sort_by));
-  return out;
-}
-
-Relation Distinct(const Relation& input) {
-  Relation out(input.name() + "+distinct", StripKeys(input.schema()));
-  std::set<Tuple> seen;
-  for (const Tuple& t : input.rows()) {
-    if (seen.insert(t).second) out.AppendUnchecked(t);
-  }
-  return out;
-}
-
-Result<Relation> CrossProduct(const Relation& left, const Relation& right) {
-  Relation ql = QualifyAttributes(left);
-  Relation qr = QualifyAttributes(right);
-  std::vector<AttributeDef> attrs = ql.schema().attributes();
-  attrs.insert(attrs.end(), qr.schema().attributes().begin(),
-               qr.schema().attributes().end());
-  IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-  Relation out(left.name() + "x" + right.name(), std::move(schema));
-  for (const Tuple& lt : ql.rows()) {
-    for (const Tuple& rt : qr.rows()) {
-      out.AppendUnchecked(Tuple::Concat(lt, rt));
-    }
-  }
-  return out;
-}
-
-Result<Relation> EquiJoin(const Relation& left, const std::string& left_attr,
-                          const Relation& right,
-                          const std::string& right_attr) {
-  IQS_ASSIGN_OR_RETURN(size_t li, left.schema().IndexOf(left_attr));
-  IQS_ASSIGN_OR_RETURN(size_t ri, right.schema().IndexOf(right_attr));
-  Relation ql = QualifyAttributes(left);
-  Relation qr = QualifyAttributes(right);
-  std::vector<AttributeDef> attrs = ql.schema().attributes();
-  attrs.insert(attrs.end(), qr.schema().attributes().begin(),
-               qr.schema().attributes().end());
-  IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-  Relation out(left.name() + "*" + right.name(), std::move(schema));
-
-  // Hash the smaller side; Value has no std::hash, so key on the canonical
-  // text rendering per type (distinct values render distinctly).
-  std::multimap<std::string, size_t> index;
-  for (size_t r = 0; r < qr.size(); ++r) {
-    const Value& v = qr.row(r).at(ri);
-    if (v.is_null()) continue;
-    index.emplace(v.ToString(), r);
-  }
-  for (const Tuple& lt : ql.rows()) {
-    const Value& v = lt.at(li);
-    if (v.is_null()) continue;
-    auto [begin, end] = index.equal_range(v.ToString());
-    for (auto it = begin; it != end; ++it) {
-      // Guard against the rare text-rendering collision across numeric
-      // types by re-checking equality on Values.
-      if (qr.row(it->second).at(ri) != v) continue;
-      out.AppendUnchecked(Tuple::Concat(lt, qr.row(it->second)));
-    }
-  }
-  return out;
-}
-
-Result<Relation> Union(const Relation& left, const Relation& right) {
-  IQS_RETURN_IF_ERROR(CheckUnionCompatible(left, right));
-  Relation out(left.name() + "+union", StripKeys(left.schema()));
-  std::set<Tuple> seen;
-  for (const Relation* rel : {&left, &right}) {
-    for (const Tuple& t : rel->rows()) {
-      if (seen.insert(t).second) out.AppendUnchecked(t);
-    }
-  }
-  return out;
-}
-
-Result<Relation> Difference(const Relation& left, const Relation& right) {
-  IQS_RETURN_IF_ERROR(CheckUnionCompatible(left, right));
-  std::set<Tuple> remove(right.rows().begin(), right.rows().end());
-  Relation out(left.name() + "+diff", StripKeys(left.schema()));
-  std::set<Tuple> seen;
-  for (const Tuple& t : left.rows()) {
-    if (remove.count(t) > 0) continue;
-    if (seen.insert(t).second) out.AppendUnchecked(t);
-  }
-  return out;
-}
-
-Result<Relation> Intersect(const Relation& left, const Relation& right) {
-  IQS_RETURN_IF_ERROR(CheckUnionCompatible(left, right));
-  std::set<Tuple> keep(right.rows().begin(), right.rows().end());
-  Relation out(left.name() + "+intersect", StripKeys(left.schema()));
-  std::set<Tuple> seen;
-  for (const Tuple& t : left.rows()) {
-    if (keep.count(t) == 0) continue;
-    if (seen.insert(t).second) out.AppendUnchecked(t);
-  }
-  return out;
-}
-
-Result<Value> AggregateMin(const Relation& input, const std::string& attr) {
-  IQS_ASSIGN_OR_RETURN(auto domain, input.ActiveDomain(attr));
-  return domain.first;
-}
-
-Result<Value> AggregateMax(const Relation& input, const std::string& attr) {
-  IQS_ASSIGN_OR_RETURN(auto domain, input.ActiveDomain(attr));
-  return domain.second;
-}
-
-Result<int64_t> AggregateCount(const Relation& input,
-                               const std::string& attr) {
-  if (attr == "*") return static_cast<int64_t>(input.size());
-  IQS_ASSIGN_OR_RETURN(std::vector<Value> column, input.Column(attr));
-  int64_t count = 0;
-  for (const Value& v : column) {
-    if (!v.is_null()) ++count;
-  }
-  return count;
-}
-
-Result<Relation> GroupCount(const Relation& input,
-                            const std::string& group_attr) {
-  IQS_ASSIGN_OR_RETURN(size_t idx, input.schema().IndexOf(group_attr));
-  // Per-partition count maps merged by integer addition: associative and
-  // lands in an ordered map, so the result is independent of partitioning.
-  const std::vector<Tuple>& rows = input.rows();
-  std::map<Value, int64_t> counts = exec::ParallelReduce<
-      std::map<Value, int64_t>>(
-      "exec.aggregate", rows.size(), 512, {},
-      [&rows, idx](size_t begin, size_t end) {
-        std::map<Value, int64_t> local;
-        for (size_t i = begin; i < end; ++i) local[rows[i].at(idx)] += 1;
-        return local;
-      },
-      [](std::map<Value, int64_t>* acc, std::map<Value, int64_t>&& part) {
-        for (auto& [value, count] : part) (*acc)[value] += count;
-      });
-  AttributeDef group_def = input.schema().attribute(idx);
-  group_def.is_key = false;
-  IQS_ASSIGN_OR_RETURN(
-      Schema schema,
-      Schema::Create({group_def, {"count", ValueType::kInt, false}}));
-  Relation out(input.name() + "+groupcount", std::move(schema));
-  for (const auto& [value, count] : counts) {
-    out.AppendUnchecked(Tuple({value, Value::Int(count)}));
-  }
-  return out;
-}
-
-// ---- Batch (columnar) execution -------------------------------------
 
 namespace {
 

@@ -11,72 +11,12 @@
 
 namespace iqs {
 
-// Relational-algebra operators over in-memory Relations. These are the
-// operations the paper's ILS issues as QUEL statements (§5.2.1): sorted
-// unique projection, anti-join to find inconsistent pairs, deletion — plus
-// the joins and selections needed by the SQL executor.
-//
-// Result relations carry no key constraints (they are derived bags/sets).
-
-// sigma_pred(input). The result keeps input's schema and name "+sel".
-Result<Relation> Select(const Relation& input, const Predicate& pred);
-
-// pi_attrs(input); with `distinct`, duplicate rows are collapsed
-// (preserving first occurrence order).
-Result<Relation> Project(const Relation& input,
-                         const std::vector<std::string>& attribute_names,
-                         bool distinct);
-
-// The ILS step-1 primitive: `retrieve into S unique (r.Y, r.X) sort by r.Y`
-// generalized — distinct projection sorted by the given sort attributes.
-Result<Relation> SortedUniqueProject(
-    const Relation& input, const std::vector<std::string>& attribute_names,
-    const std::vector<std::string>& sort_by);
-
-// Removes duplicate rows, preserving first-occurrence order.
-Relation Distinct(const Relation& input);
-
-// Cartesian product. Attribute names in the result are qualified as
-// "<relation>.<attr>" (unless already qualified) so self-collisions like
-// SUBMARINE.Class vs CLASS.Class stay distinguishable.
-Result<Relation> CrossProduct(const Relation& left, const Relation& right);
-
-// Hash equi-join on left.left_attr == right.right_attr, with the same
-// qualified-name convention as CrossProduct.
-Result<Relation> EquiJoin(const Relation& left, const std::string& left_attr,
-                          const Relation& right,
-                          const std::string& right_attr);
-
-// Set union / difference / intersection. Schemas must have identical
-// attribute types (names may differ; the left schema is kept). Results are
-// duplicate-free.
-Result<Relation> Union(const Relation& left, const Relation& right);
-Result<Relation> Difference(const Relation& left, const Relation& right);
-Result<Relation> Intersect(const Relation& left, const Relation& right);
-
-// Simple aggregates over one column (nulls ignored).
-Result<Value> AggregateMin(const Relation& input, const std::string& attr);
-Result<Value> AggregateMax(const Relation& input, const std::string& attr);
-// Count of non-null values in `attr`; Count of rows when attr == "*".
-Result<int64_t> AggregateCount(const Relation& input, const std::string& attr);
-
-// Group `input` by `group_attr` and count rows per group. The result has
-// schema (group_attr, count:int) sorted by group value.
-Result<Relation> GroupCount(const Relation& input,
-                            const std::string& group_attr);
-
-// Returns a copy of `input` whose attribute names are qualified as
-// "<relation>.<attr>" (idempotent for already-qualified names).
-Relation QualifyAttributes(const Relation& input);
-
-// ---- Batch (columnar) execution -------------------------------------
-//
-// The vectorized counterpart of Select: conjuncts of the shape
-// `column <op> constant` run as typed tight loops over the column
-// arrays, with zone-map block pruning in front, and everything else
-// falls back to the row predicate over materialized survivors. The
-// contract is byte-identity with the serial row scan — same rows, same
-// order, and the same first error.
+// Batch (columnar) selection: conjuncts of the shape `column <op>
+// constant` run as typed tight loops over the column arrays of a
+// ColumnarRelation, with zone-map block pruning in front, and everything
+// else falls back to the row predicate over materialized survivors. The
+// contract is byte-identity with the executor's serial row scan — same
+// rows, same order, and the same first error.
 
 // One extracted WHERE conjunct, oriented column-first. `constant_first`
 // records that the source predicate had the literal on the left

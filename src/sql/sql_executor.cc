@@ -19,16 +19,21 @@ namespace iqs {
 
 thread_local SqlExecutor::ExecutionStats SqlExecutor::stats_;
 
-Relation SqlExecutor::QualifyFor(const Relation& relation,
-                                 const std::string& effective_name) {
-  std::vector<AttributeDef> attrs = relation.schema().attributes();
+// Out of line, beside stats_: defined inline, every caller's translation
+// unit reached the thread-local through its own TLS wrapper, and GCC's
+// UBSan null check reported that reference as null.
+const SqlExecutor::ExecutionStats& SqlExecutor::last_stats() const {
+  return stats_;
+}
+
+Relation SqlExecutor::QualifiedEmpty(const Schema& schema,
+                                     const std::string& effective_name) {
+  std::vector<AttributeDef> attrs = schema.attributes();
   for (AttributeDef& a : attrs) {
     a.name = effective_name + "." + a.name;
     a.is_key = false;
   }
-  Relation out(effective_name, Schema(std::move(attrs)));
-  for (const Tuple& t : relation.rows()) out.AppendUnchecked(t);
-  return out;
+  return Relation(effective_name, Schema(std::move(attrs)));
 }
 
 Result<Relation> SqlExecutor::JoinOn(const Relation& left, size_t li,
@@ -195,13 +200,13 @@ Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
   for (size_t e = 0; e < bound.tables.size(); ++e) {
     const BoundTable& entry = bound.tables[e];
     const Relation& rel = *entry.relation;
-    const std::string& effective = entry.ref.effective_name();
+    Relation qualified =
+        QualifiedEmpty(rel.schema(), entry.ref.effective_name());
     if (schema_only) {
       // Proven-empty scan skip: only the schema participates; joins,
       // filtering, aggregation, and projection all still run so the
       // output shape (and any error) matches a real scan of zero rows.
-      Relation empty(rel.name(), rel.schema());
-      tables.push_back(QualifyFor(empty, effective));
+      tables.push_back(std::move(qualified));
       continue;
     }
     // Index fast path: a bound conjunct restricting an indexed column of
@@ -212,10 +217,9 @@ Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
         entry.is_virtual() ? std::nullopt : IndexRows(bound, e);
     if (admitted.has_value()) {
       ++stats_.index_prefiltered_tables;
-      Relation filtered(rel.name(), rel.schema());
-      for (size_t r : *admitted) filtered.AppendUnchecked(rel.row(r));
-      stats_.base_rows_loaded += filtered.size();
-      tables.push_back(QualifyFor(filtered, effective));
+      for (size_t r : *admitted) qualified.AppendUnchecked(rel.row(r));
+      stats_.base_rows_loaded += qualified.size();
+      tables.push_back(std::move(qualified));
       IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", tables.back().size(),
                                            tables.back().schema().size()));
       continue;
@@ -226,8 +230,6 @@ Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
     // and arrives here already WHERE-filtered.
     if (bound.tables.size() == 1 && bound.where != nullptr &&
         !entry.is_virtual() && ColumnarEnabled()) {
-      Relation empty(rel.name(), rel.schema());
-      Relation qualified = QualifyFor(empty, effective);
       IQS_ASSIGN_OR_RETURN(bool scanned, TryColumnarScan(bound, &qualified));
       if (scanned) {
         tables.push_back(std::move(qualified));
@@ -235,7 +237,8 @@ Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
         continue;
       }
     }
-    tables.push_back(QualifyFor(rel, effective));
+    for (const Tuple& t : rel.rows()) qualified.AppendUnchecked(t);
+    tables.push_back(std::move(qualified));
     // The qualified copy is the scan stage's big materialization — the
     // whole base relation duplicated under qualified names.
     IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", tables.back().size(),
@@ -254,7 +257,7 @@ Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
   }
   std::vector<bool> joined(tables.size(), false);
   std::vector<size_t> offsets(tables.size(), 0);
-  Relation working = tables[0];
+  Relation working = std::move(tables[0]);
   joined[0] = true;
   size_t remaining = tables.size() - 1;
   while (remaining > 0) {

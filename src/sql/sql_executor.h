@@ -59,7 +59,7 @@ class SqlExecutor {
   // Stats of the last query executed ON THE CALLING THREAD. The slot is
   // thread-local so one executor can serve concurrent queries without the
   // bookkeeping of one racing the reporting of another.
-  const ExecutionStats& last_stats() const { return stats_; }
+  const ExecutionStats& last_stats() const;
 
  private:
   // Shared instrumentation wrapper around ExecuteInternal.
@@ -79,9 +79,10 @@ class SqlExecutor {
   std::optional<std::vector<size_t>> IndexRows(const BoundQuery& bound,
                                                size_t table) const;
 
-  // Copies `relation` with attributes renamed "<effective>.<attr>".
-  static Relation QualifyFor(const Relation& relation,
-                             const std::string& effective_name);
+  // An empty relation over `schema` with attributes renamed
+  // "<effective>.<attr>": the shell each FROM entry's rows load into.
+  static Relation QualifiedEmpty(const Schema& schema,
+                                 const std::string& effective_name);
 
   // Columnar fast path for a single-table SELECT with a WHERE clause
   // and no index-admitted prefilter: splits the bound predicate into its

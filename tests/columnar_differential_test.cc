@@ -355,8 +355,8 @@ TEST_F(ColumnarQuelDifferentialTest, RetrievesAreAnswerPreserving) {
       "retrieve unique (c.Type) where c.Displacement > 1000",
       "retrieve (c.ClassName) where c.Displacement > 8000 "
       "and c.Type = \"SSBN\"",
-      // Numeric constant against a string attribute: the session's raw
-      // text coercion must behave identically on both paths.
+      // Numeric constant against a string attribute: the binder keeps
+      // its raw spelling on both paths.
       "retrieve (s.Name) where s.Class = 0204",
       // Sort, projection arithmetic inputs, and declined shapes.
       "retrieve (c.Class, c.Displacement) where c.Displacement >= 16600 "
@@ -367,7 +367,7 @@ TEST_F(ColumnarQuelDifferentialTest, RetrievesAreAnswerPreserving) {
       "retrieve (b.K) where b.K = -3",
       "retrieve unique (b.Tag) where b.D > 700.0",
       "retrieve (b.K) where b.Tag = \"green\" and b.K < 12",
-      // Unknown attribute in WHERE: a per-row error either way.
+      // Unknown attribute in WHERE: a bind error either way.
       "retrieve (b.K) where b.Nope = 1",
   };
   for (const std::string& text : corpus) {

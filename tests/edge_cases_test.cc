@@ -1,10 +1,8 @@
 // Assorted edge cases pinning behaviours that regressions would
-// silently change: name-collision handling, idempotence of attribute
-// qualification, QUEL target naming, and executor corner cases.
+// silently change: QUEL target naming and executor corner cases.
 
 #include "gtest/gtest.h"
 #include "quel/quel_session.h"
-#include "relational/algebra.h"
 #include "sql/sql_executor.h"
 #include "testbed/ship_db.h"
 #include "tests/test_util.h"
@@ -13,26 +11,6 @@ namespace iqs {
 namespace {
 
 using testing_util::MakeRelation;
-
-TEST(EdgeCasesTest, QualifyAttributesIsIdempotent) {
-  Relation rel = MakeRelation("R", Schema({{"x", ValueType::kInt, false}}),
-                              {{"1"}});
-  Relation once = QualifyAttributes(rel);
-  EXPECT_EQ(once.schema().attribute(0).name, "R.x");
-  Relation twice = QualifyAttributes(once);
-  EXPECT_EQ(twice.schema().attribute(0).name, "R.x");
-}
-
-TEST(EdgeCasesTest, CrossProductOfRelationWithItselfNeedsRenaming) {
-  Relation rel = MakeRelation("R", Schema({{"x", ValueType::kInt, false}}),
-                              {{"1"}, {"2"}});
-  // Same relation on both sides: qualified names collide ("R.x" twice).
-  EXPECT_FALSE(CrossProduct(rel, rel).ok());
-  Relation renamed = rel;
-  renamed.set_name("S");
-  ASSERT_OK_AND_ASSIGN(Relation product, CrossProduct(rel, renamed));
-  EXPECT_EQ(product.size(), 4u);
-}
 
 TEST(EdgeCasesTest, QuelDuplicateTargetNamesRejected) {
   ASSERT_OK_AND_ASSIGN(auto db, BuildShipDatabase());

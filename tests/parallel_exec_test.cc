@@ -13,7 +13,7 @@
 #include "induction/ils.h"
 #include "inference/engine.h"
 #include "obs/metrics.h"
-#include "relational/algebra.h"
+#include "sql/sql_executor.h"
 #include "tests/test_util.h"
 
 namespace iqs {
@@ -114,20 +114,25 @@ TEST_F(ParallelExecTest, InducedRuleBaseIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelExecTest, SelectionMatchesSerialOnLargeInput) {
-  // 5000 rows through the partitioned Select: row order must be the
-  // serial scan order (concatenation merge in chunk order).
-  Relation rel("NUMBERS", Schema({{"N", ValueType::kInt, true}}));
+  // 5000 rows through the executor's partitioned WHERE filter: row order
+  // must be the serial scan order (concatenation merge in chunk order).
+  // The OR keeps the columnar scan out, so the row filter runs.
+  Database db;
+  ASSERT_OK_AND_ASSIGN(
+      Relation * rel,
+      db.CreateRelation("NUMBERS", Schema({{"N", ValueType::kInt, true}})));
   for (int i = 0; i < 5000; ++i) {
-    ASSERT_OK(rel.Insert(Tuple{Value::Int(i * 7 % 5000)}));
+    ASSERT_OK(rel->Insert(Tuple{Value::Int(i * 7 % 5000)}));
   }
-  ASSERT_OK_AND_ASSIGN(PredicatePtr pred,
-                       MakeColumnCompare(rel.schema(), "N", CompareOp::kLt,
-                                         Value::Int(1000)));
+  SqlExecutor executor(&db);
+  const std::string sql = "SELECT N FROM NUMBERS WHERE N < 1000 OR N > 4500";
   exec::SetGlobalThreadCount(1);
-  ASSERT_OK_AND_ASSIGN(Relation serial, Select(rel, *pred));
+  ASSERT_OK_AND_ASSIGN(Relation serial, executor.ExecuteSql(sql));
+  EXPECT_EQ(executor.last_stats().columnar_tables, 0u);
+  EXPECT_EQ(serial.size(), 1499u);
   for (size_t threads : {2, 8}) {
     exec::SetGlobalThreadCount(threads);
-    ASSERT_OK_AND_ASSIGN(Relation parallel, Select(rel, *pred));
+    ASSERT_OK_AND_ASSIGN(Relation parallel, executor.ExecuteSql(sql));
     ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
     EXPECT_EQ(parallel.ToTable(), serial.ToTable()) << "threads=" << threads;
   }

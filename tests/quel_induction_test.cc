@@ -3,6 +3,9 @@
 
 #include "induction/quel_induction.h"
 
+#include <string>
+#include <utility>
+
 #include "gtest/gtest.h"
 #include "induction/rule_induction.h"
 #include "testbed/fleet_generator.h"
@@ -65,18 +68,25 @@ INSTANTIATE_TEST_SUITE_P(
                       SchemeCase{"SONAR", "Sonar", "SonarType", 1},
                       SchemeCase{"INSTALL", "Ship", "Sonar", 1}));
 
+// The second fleet is the benchmark's scale: 2.4k rows, 118 rules.
 TEST(QuelInductionTest, EquivalentOnSyntheticFleet) {
-  ASSERT_OK_AND_ASSIGN(auto db, GenerateFleet(15, 3));
-  ASSERT_OK_AND_ASSIGN(const Relation* ships, db->Get("BATTLESHIP"));
-  InductionConfig config;
-  config.min_support = 3;
-  ASSERT_OK_AND_ASSIGN(std::vector<Rule> native,
-                       InduceScheme(*ships, "Displacement", "Type", config));
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<Rule> via_quel,
-      InduceSchemeViaQuel(db.get(), "BATTLESHIP", "Displacement", "Type",
-                          config));
-  ExpectSameRules(native, via_quel);
+  for (auto [ships_per_type, seed] :
+       {std::pair<size_t, uint64_t>{15, 3}, {200, 42}}) {
+    SCOPED_TRACE("GenerateFleet(" + std::to_string(ships_per_type) + ", " +
+                 std::to_string(seed) + ")");
+    ASSERT_OK_AND_ASSIGN(auto db, GenerateFleet(ships_per_type, seed));
+    ASSERT_OK_AND_ASSIGN(const Relation* ships, db->Get("BATTLESHIP"));
+    InductionConfig config;
+    config.min_support = 3;
+    ASSERT_OK_AND_ASSIGN(std::vector<Rule> native,
+                         InduceScheme(*ships, "Displacement", "Type", config));
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<Rule> via_quel,
+        InduceSchemeViaQuel(db.get(), "BATTLESHIP", "Displacement", "Type",
+                            config));
+    EXPECT_FALSE(native.empty());
+    ExpectSameRules(native, via_quel);
+  }
 }
 
 TEST(QuelInductionTest, InputValidation) {

@@ -1,7 +1,10 @@
 #include "quel/quel_session.h"
 
+#include "fault/failpoint.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "quel/quel_parser.h"
+#include "sql/sql_executor.h"
 #include "testbed/ship_db.h"
 #include "tests/test_util.h"
 
@@ -248,6 +251,103 @@ TEST_F(QuelTest, ScriptReturnsLastResult) {
 TEST_F(QuelTest, UnboundVariableErrors) {
   EXPECT_FALSE(session_->ExecuteText("retrieve (q.X)").ok());
   EXPECT_FALSE(session_->ExecuteText("delete q").ok());
+}
+
+// Undeclared variables, then duplicate target names, then the
+// qualification.
+TEST_F(QuelTest, ErrorsComeInStatementOrder) {
+  Run("range of r is CLASS");
+  auto unbound = session_->ExecuteText(
+      "retrieve (q.Type, r.Type) where r.Nope = 1");
+  EXPECT_EQ(unbound.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(unbound.status().ToString().find("'q'"), std::string::npos);
+  auto duplicate = session_->ExecuteText(
+      "retrieve (r.Type, Type = r.Class) where r.Nope = 1");
+  EXPECT_EQ(duplicate.status().code(), StatusCode::kAlreadyExists);
+  auto qualification =
+      session_->ExecuteText("retrieve (r.Type) where r.Nope = 1");
+  EXPECT_EQ(qualification.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(qualification.status().ToString().find("r.Nope"),
+            std::string::npos);
+}
+
+// A quoted number against an INT attribute is coerced the way SQL
+// coerces it.
+TEST_F(QuelTest, QuotedNumberAgainstIntAttributeIsCoerced) {
+  Run("range of c is CLASS");
+  Relation typed = Run("retrieve (c.ClassName) where c.Displacement > 8000");
+  Relation quoted =
+      Run("retrieve (c.ClassName) where c.Displacement > \"8000\"");
+  EXPECT_GT(typed.size(), 0u);
+  EXPECT_EQ(quoted.ToTable(), typed.ToTable());
+}
+
+TEST_F(QuelTest, AppendCoercesQuotedNumberIntoIntAttribute) {
+  ASSERT_OK(session_
+                ->ExecuteText("append to CLASS (Class = \"9901\", Type = "
+                              "\"SSN\", Displacement = \"4200\")")
+                .status());
+  ASSERT_OK_AND_ASSIGN(const Relation* classes, db_->Get("CLASS"));
+  ASSERT_OK_AND_ASSIGN(Value displacement,
+                       classes->GetValue(classes->size() - 1, "Displacement"));
+  EXPECT_EQ(displacement.type(), ValueType::kInt);
+  EXPECT_EQ(displacement, Value::Int(4200));
+}
+
+// The qualification binds before any row is read, so a missing
+// attribute fails even over an empty relation.
+TEST_F(QuelTest, UnknownQualificationAttributeFailsAtBind) {
+  ASSERT_OK(db_->CreateRelation("EMPTY", Schema({{"X", ValueType::kInt,
+                                                  false}}))
+                .status());
+  Run("range of e is EMPTY");
+  auto retrieve = session_->ExecuteText("retrieve (e.X) where e.Nope = 1");
+  EXPECT_EQ(retrieve.status().code(), StatusCode::kNotFound);
+  auto del = session_->ExecuteText("delete e where e.Nope = 1");
+  EXPECT_EQ(del.status().code(), StatusCode::kNotFound);
+}
+
+// QUEL statements run through the SQL executor: its counters see them
+// and its exec.scan failpoint stops them.
+TEST_F(QuelTest, StatementsRunThroughTheSqlExecutor) {
+  Run("range of s is SUBMARINE");
+#ifndef IQS_OBS_DISABLED
+  obs::Counter* executions =
+      obs::GlobalMetrics().GetCounter("sql.execute.count");
+  const uint64_t before = executions->value();
+  Run("retrieve (s.Id) where s.Class = 0204");
+  EXPECT_EQ(executions->value(), before + 1);
+#endif  // IQS_OBS_DISABLED
+  fault::ScopedFailpoint fp("exec.scan", "error(unavailable,scan down)");
+  ASSERT_TRUE(fp.ok());
+  auto retrieve = session_->ExecuteText("retrieve (s.Id)");
+  EXPECT_EQ(retrieve.status().code(), StatusCode::kUnavailable);
+  auto del = session_->ExecuteText("delete s");
+  EXPECT_EQ(del.status().code(), StatusCode::kUnavailable);
+}
+
+// Over three or more variables the rows come in the executor's join
+// order, exactly as the same SELECT returns them. Its greedy plan
+// attaches b (the first join conjunct's) before a, so within a class the
+// b rows vary slowest, unlike a nested loop in variable order.
+TEST_F(QuelTest, ThreeVariableRetrieveKeepsTheExecutorsRowOrder) {
+  ASSERT_OK_AND_ASSIGN(
+      auto quel,
+      session_->ExecuteScript(
+          "range of c is CLASS\nrange of a is SUBMARINE\n"
+          "range of b is SUBMARINE\n"
+          "retrieve (c.Class, first = a.Id, second = b.Id) where c.Class = "
+          "b.Class and c.Class = a.Class"));
+  SqlExecutor executor(db_.get());
+  ASSERT_OK_AND_ASSIGN(
+      Relation sql,
+      executor.ExecuteSql(
+          "SELECT c.Class, a.Id, b.Id FROM CLASS c, SUBMARINE a, SUBMARINE b "
+          "WHERE c.Class = b.Class AND c.Class = a.Class"));
+  ASSERT_EQ(quel.relation.size(), sql.size());
+  for (size_t i = 0; i < sql.size(); ++i) {
+    EXPECT_EQ(quel.relation.row(i).ToString(), sql.row(i).ToString()) << i;
+  }
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 #define IQS_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "relational/relation.h"
 #include "rules/rule.h"
+#include "sql/binder.h"
 #include "testbed/employee_db.h"
 #include "testbed/ship_db.h"
 
@@ -94,6 +96,48 @@ inline std::vector<std::string> ColumnText(const Relation& rel,
   EXPECT_TRUE(column.ok()) << column.status().ToString();
   if (!column.ok()) return out;
   for (const Value& v : *column) out.push_back(v.ToString());
+  return out;
+}
+
+// An executor-independent oracle for select-project-join statements,
+// one tuple at a time: binds `stmt`, walks the cross product of the
+// bound FROM entries in FROM order, keeps each combined row the bound
+// WHERE admits, and projects the select list (DISTINCT keeps first
+// occurrences). Aggregates, GROUP BY and ORDER BY are not evaluated.
+inline Result<std::vector<Tuple>> TupleAtATimeRows(
+    const Database& db, const SelectStatement& stmt) {
+  IQS_ASSIGN_OR_RETURN(BoundQuery bound, Bind(stmt, db));
+  std::vector<size_t> columns;
+  for (size_t i = 0; stmt.select_all && i < bound.schema.size(); ++i) {
+    columns.push_back(i);
+  }
+  for (const SelectItem& item : stmt.select_list) {
+    IQS_ASSIGN_OR_RETURN(size_t slot,
+                         ResolveColumn(bound.schema, item.column));
+    columns.push_back(slot);
+  }
+  std::vector<Tuple> combined = {Tuple()};
+  for (const BoundTable& table : bound.tables) {
+    std::vector<Tuple> next;
+    for (const Tuple& left : combined) {
+      for (const Tuple& right : table.relation->rows()) {
+        next.push_back(Tuple::Concat(left, right));
+      }
+    }
+    combined = std::move(next);
+  }
+  std::vector<Tuple> out;
+  std::set<Tuple> seen;
+  for (const Tuple& row : combined) {
+    if (bound.where != nullptr) {
+      IQS_ASSIGN_OR_RETURN(bool keep, bound.where->Eval(row));
+      if (!keep) continue;
+    }
+    Tuple projected;
+    for (size_t c : columns) projected.Append(row.at(c));
+    if (stmt.distinct && !seen.insert(projected).second) continue;
+    out.push_back(std::move(projected));
+  }
   return out;
 }
 
