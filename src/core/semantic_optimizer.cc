@@ -15,19 +15,11 @@ namespace iqs {
 
 namespace {
 
-bool NumericType(ValueType t) {
-  return t == ValueType::kInt || t == ValueType::kReal;
-}
-
-// A top-level WHERE conjunct as the optimizer understands it. `safe`
-// means the conjunct cannot raise at eval time (binding already proved
-// its columns resolve and its constants coerce; compared domains must
-// also be comparable) — the precondition for any rewrite of the
-// statement. `recognized` additionally means the conjunct restricts one
-// column to one nonempty interval.
+// A top-level WHERE conjunct as the optimizer understands it.
+// `recognized` means the conjunct restricts one column to one nonempty
+// interval.
 struct Conjunct {
   const SqlExpr* expr = nullptr;
-  bool safe = false;
   bool recognized = false;
   size_t table = 0;        // owning FROM entry (recognized only)
   std::string attribute;   // canonical schema spelling (recognized only)
@@ -39,19 +31,7 @@ struct Conjunct {
 Conjunct Classify(const BoundQuery& bound, const BoundConjunct& c) {
   Conjunct b;
   b.expr = c.expr;
-  if (c.kind == BoundConjunct::Kind::kOther) {
-    return b;  // OR / NOT / literal-literal: not analyzed, may error
-  }
-  if (c.kind == BoundConjunct::Kind::kColumns) {
-    // Join / column-column comparison: safe when both sides have
-    // comparable domains (ApplyCompare never errors then).
-    b.safe = c.column.type == c.other.type ||
-             (NumericType(c.column.type) && NumericType(c.other.type));
-    return b;
-  }
-  // Column against constants the binder coerced to its domain: total
-  // (a null constant compares false).
-  b.safe = true;
+  if (c.kind == BoundConjunct::Kind::kColumns) return b;  // join
   const bool between = c.kind == BoundConjunct::Kind::kBetween;
   if (c.constant.is_null()) return b;
   if (between && (c.high.is_null() || c.constant > c.high)) {
@@ -168,20 +148,17 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
     if (table.is_virtual()) return plan;  // sys.* snapshots have no rules
   }
 
+  // The pass does not analyze OR, NOT, literal-literal or literal LIKE
+  // conjuncts (kOther), so it declines a statement that has one. Every
+  // other conjunct is total: the binder type-checked it.
   std::vector<Conjunct> bound;
   bound.reserve(query.conjuncts.size());
-  bool all_safe = true;
   for (const BoundConjunct& c : query.conjuncts) {
+    if (c.kind == BoundConjunct::Kind::kOther) {
+      IQS_COUNTER_INC("optimizer.rewrite.unshaped");
+      return plan;
+    }
     bound.push_back(Classify(query, c));
-    all_safe = all_safe && bound.back().safe;
-  }
-  // Every rewrite changes which rows get loaded or evaluated, so the pass
-  // declines unless no conjunct can raise at eval time: otherwise skipping
-  // a row (or an eval) could suppress an error the unoptimized run
-  // reports, and on/off answers would diverge.
-  if (!all_safe) {
-    IQS_COUNTER_INC("optimizer.rewrite.unshaped");
-    return plan;
   }
 
   const size_t n = bound.size();
@@ -446,29 +423,6 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
   }
   IQS_SPAN_ANNOTATE("steps", static_cast<int64_t>(plan.steps.size()));
   return plan;
-}
-
-Result<SemanticOptimizer::ScanEstimate> SemanticOptimizer::EstimateScan(
-    const ImpliedCondition& implied, const Relation& relation) const {
-  // Resolve the implied attribute against the relation by base name.
-  size_t column = relation.schema().size();
-  for (size_t i = 0; i < relation.schema().size(); ++i) {
-    if (SameAttribute(relation.schema().attribute(i).name, implied.attribute,
-                      AttributeMatch::kBaseName)) {
-      column = i;
-      break;
-    }
-  }
-  if (column == relation.schema().size()) {
-    return Status::NotFound("attribute '" + implied.attribute +
-                            "' does not resolve in " + relation.name());
-  }
-  ScanEstimate out;
-  out.total = relation.size();
-  for (const Tuple& row : relation.rows()) {
-    if (implied.Admits(row.at(column))) ++out.admitted;
-  }
-  return out;
 }
 
 }  // namespace iqs

@@ -68,12 +68,13 @@ class SemanticOptimizer {
   //      scan is skipped and the answer comes from the rules alone.
   //
   // Soundness guardrails: only complete families are used (converse
-  // implication); the pass declines entirely unless every top-level
-  // conjunct is statically understood and total at eval time (so on/off
-  // runs agree even on errors); value-restricting rewrites require the
-  // implied column to be null-free (nulls do not participate in
-  // induction); and a conjunct whose implication was used is pinned
-  // against elimination (mutual implications cannot drop both sides).
+  // implication); the pass declines entirely when a top-level conjunct
+  // is one it does not analyze (BoundConjunct::Kind::kOther), and every
+  // other conjunct is total, since the binder type-checked it;
+  // value-restricting rewrites require the implied column to be
+  // null-free (nulls do not participate in induction); and a conjunct
+  // whose implication was used is pinned against elimination (mutual
+  // implications cannot drop both sides).
   // An unchanged statement comes back as a RewritePlan with no steps.
   // The pass reads `query`'s binding — the FROM entries, column types
   // and typed constants the executor uses — and never resolves a name
@@ -88,17 +89,6 @@ class SemanticOptimizer {
                               const RuleSet& rules, SqoMode mode,
                               const Database& db,
                               const InferenceEngine& engine) const;
-
-  // Scan-saving estimate for `implied` against a relation: how many rows
-  // of `relation` the implied restriction admits (an index-driven plan
-  // reads only these) vs the relation's size. Requires the implied
-  // attribute to resolve in the relation.
-  struct ScanEstimate {
-    size_t admitted = 0;
-    size_t total = 0;
-  };
-  Result<ScanEstimate> EstimateScan(const ImpliedCondition& implied,
-                                    const Relation& relation) const;
 
  private:
   const DataDictionary* dictionary_;

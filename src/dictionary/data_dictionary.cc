@@ -100,19 +100,14 @@ Status DataDictionary::ComputeActiveDomains(const Database& db) {
   };
   for (const std::string& rel_name : db.RelationNames()) {
     IQS_ASSIGN_OR_RETURN(const Relation* rel, db.Get(rel_name));
-    // Zone-map fast path (DESIGN.md §14): fold each column's [min, max]
-    // from the cached snapshot's per-block stats instead of rescanning
-    // every row. ColumnMinMax reproduces ActiveDomain's result exactly,
-    // so the clip domains are identical either way.
-    std::shared_ptr<const ColumnarRelation> snapshot;
-    if (ColumnarEnabled()) {
-      auto snap = db.ColumnarSnapshot(rel_name);
-      if (snap.ok()) snapshot = std::move(*snap);
-    }
+    // Fold each column's [min, max] from the cached snapshot's zone maps
+    // (DESIGN.md §14) instead of rescanning every row. ColumnMinMax
+    // reproduces Relation::ActiveDomain's result exactly.
+    IQS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> snapshot,
+                         db.ColumnarSnapshot(rel_name));
     for (size_t i = 0; i < rel->schema().size(); ++i) {
       const std::string& attr = rel->schema().attribute(i).name;
-      auto domain = snapshot != nullptr ? snapshot->ColumnMinMax(i)
-                                        : rel->ActiveDomain(attr);
+      auto domain = snapshot->ColumnMinMax(i);
       if (!domain.ok()) continue;  // empty column
       merge(rel->name() + "." + attr, domain->first, domain->second);
       merge(attr, domain->first, domain->second);

@@ -67,26 +67,19 @@ Result<std::vector<Rule>> InductiveLearningSubsystem::InduceIntraObject(
   IQS_ASSIGN_OR_RETURN(std::vector<SchemeCandidate> candidates,
                        IntraObjectCandidates(*catalog_, object_type));
   if (candidates.empty()) return std::vector<Rule>{};
-  IQS_ASSIGN_OR_RETURN(const Relation* relation, db_->Get(object_type));
   // One epoch-cached columnar snapshot (DESIGN.md §14) shared by every
   // candidate scheme of this object type — the transpose is paid once
   // per epoch, not once per (X, Y) pair.
-  std::shared_ptr<const ColumnarRelation> snapshot;
-  if (ColumnarEnabled()) {
-    IQS_ASSIGN_OR_RETURN(snapshot, db_->ColumnarSnapshot(object_type));
-  }
+  IQS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> snapshot,
+                       db_->ColumnarSnapshot(object_type));
   IQS_ASSIGN_OR_RETURN(
       std::vector<Rule> out,
       InduceSlots("exec.induce.intra", candidates.size(),
                   [&](size_t i) -> Result<std::vector<Rule>> {
-                    if (snapshot != nullptr) {
-                      InductionStats stats;
-                      return InduceSchemeColumnarWithStats(
-                          *snapshot, candidates[i].x_attr,
-                          candidates[i].y_attr, config, &stats);
-                    }
-                    return InduceScheme(*relation, candidates[i].x_attr,
-                                        candidates[i].y_attr, config);
+                    InductionStats stats;
+                    return InduceSchemeColumnarWithStats(
+                        *snapshot, candidates[i].x_attr,
+                        candidates[i].y_attr, config, &stats);
                   }));
   AttachIsaReadings(&out);
   return out;
@@ -141,28 +134,18 @@ Result<std::vector<Rule>> InductiveLearningSubsystem::InduceInterObject(
   // The joined view is rebuilt per call (it is not a stored relation, so
   // the Database snapshot cache does not apply); transpose it once here
   // and share the columns across every candidate pair.
-  std::optional<ColumnarRelation> view_columns;
-  if (ColumnarEnabled()) {
-    IQS_ASSIGN_OR_RETURN(ColumnarRelation transposed,
-                         ColumnarRelation::Transpose(view));
-    view_columns.emplace(std::move(transposed));
-  }
+  IQS_ASSIGN_OR_RETURN(ColumnarRelation view_columns,
+                       ColumnarRelation::Transpose(view));
   IQS_ASSIGN_OR_RETURN(
       std::vector<Rule> out,
       InduceSlots("exec.induce.inter", pairs.size(),
                   [&](size_t p) -> Result<std::vector<Rule>> {
-                    std::vector<Rule> rules;
-                    if (view_columns.has_value()) {
-                      InductionStats stats;
-                      IQS_ASSIGN_OR_RETURN(
-                          rules, InduceSchemeColumnarWithStats(
-                                     *view_columns, *pairs[p].first,
-                                     *pairs[p].second, config, &stats));
-                    } else {
-                      IQS_ASSIGN_OR_RETURN(
-                          rules, InduceScheme(view, *pairs[p].first,
-                                              *pairs[p].second, config));
-                    }
+                    InductionStats stats;
+                    IQS_ASSIGN_OR_RETURN(
+                        std::vector<Rule> rules,
+                        InduceSchemeColumnarWithStats(
+                            view_columns, *pairs[p].first, *pairs[p].second,
+                            config, &stats));
                     for (Rule& r : rules) r.source_relation = relationship;
                     return rules;
                   }));

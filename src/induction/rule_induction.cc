@@ -305,13 +305,10 @@ Result<std::vector<Rule>> InduceSchemeWithStats(const Relation& relation,
                                                 const std::string& y_attr,
                                                 const InductionConfig& config,
                                                 InductionStats* stats) {
-  if (ColumnarEnabled()) {
-    IQS_ASSIGN_OR_RETURN(ColumnarRelation transposed,
-                         ColumnarRelation::Transpose(relation));
-    return InduceSchemeColumnarWithStats(transposed, x_attr, y_attr, config,
-                                         stats);
-  }
-  return InduceSchemeRowsWithStats(relation, x_attr, y_attr, config, stats);
+  IQS_ASSIGN_OR_RETURN(ColumnarRelation transposed,
+                       ColumnarRelation::Transpose(relation));
+  return InduceSchemeColumnarWithStats(transposed, x_attr, y_attr, config,
+                                       stats);
 }
 
 Result<std::vector<Rule>> InduceSchemeRowsWithStats(

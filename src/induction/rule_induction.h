@@ -44,17 +44,16 @@ struct InductionStats {
   size_t pruned = 0;               // rules dropped in step 4
 };
 
-// Dispatches to the columnar implementation when ColumnarEnabled()
-// (transposing `relation` on the fly), else to the row reference.
+// Transposes `relation` and runs the columnar implementation.
 Result<std::vector<Rule>> InduceSchemeWithStats(const Relation& relation,
                                                 const std::string& x_attr,
                                                 const std::string& y_attr,
                                                 const InductionConfig& config,
                                                 InductionStats* stats);
 
-// The row-at-a-time reference implementation — always available so the
-// differential suite (and the scaling bench) can pit the two paths
-// against each other regardless of the process-wide toggle.
+// The row-at-a-time reference implementation. No production path runs
+// it: the differential tests and the scaling bench hold the columnar
+// implementation to it.
 Result<std::vector<Rule>> InduceSchemeRowsWithStats(
     const Relation& relation, const std::string& x_attr,
     const std::string& y_attr, const InductionConfig& config,

@@ -24,9 +24,9 @@ struct QueryStats {
   uint64_t rows_returned = 0;  // extensional answer size
   uint64_t index_prefiltered_tables = 0;
 
-  // Columnar fast path (DESIGN.md §14): FROM tables answered from the
+  // Columnar scan (DESIGN.md §14): FROM entries read from the
   // column-major snapshot, with zone-map block accounting. rows_scanned
-  // still reports the full relation size for such tables; skipping
+  // still reports the full relation size for such entries; skipping
   // shows up as columnar_blocks_pruned.
   uint64_t columnar_tables = 0;
   uint64_t columnar_blocks_total = 0;

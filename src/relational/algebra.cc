@@ -7,45 +7,6 @@ namespace iqs {
 
 namespace {
 
-// In-order AND flattening; matches AndPredicate::Eval's left-to-right,
-// short-circuiting leaf evaluation order.
-void FlattenAnd(const PredicatePtr& pred, std::vector<PredicatePtr>* leaves) {
-  if (const auto* a = dynamic_cast<const AndPredicate*>(pred.get())) {
-    FlattenAnd(a->lhs(), leaves);
-    FlattenAnd(a->rhs(), leaves);
-    return;
-  }
-  leaves->push_back(pred);
-}
-
-bool ExtractLeaf(const Predicate& leaf, const ColumnarRelation& rel,
-                 ColumnCondition* out) {
-  const auto* cmp = dynamic_cast<const ComparePredicate*>(&leaf);
-  if (cmp == nullptr) return false;
-  const auto* lcol = dynamic_cast<const ColumnExpr*>(&cmp->lhs());
-  const auto* rconst = dynamic_cast<const ConstantExpr*>(&cmp->rhs());
-  const auto* lconst = dynamic_cast<const ConstantExpr*>(&cmp->lhs());
-  const auto* rcol = dynamic_cast<const ColumnExpr*>(&cmp->rhs());
-  size_t column = 0;
-  if (lcol != nullptr && rconst != nullptr) {
-    column = lcol->index();
-    out->op = cmp->op();
-    out->constant = rconst->value();
-    out->constant_first = false;
-  } else if (lconst != nullptr && rcol != nullptr) {
-    column = rcol->index();
-    out->op = MirrorOp(cmp->op());
-    out->constant = lconst->value();
-    out->constant_first = true;
-  } else {
-    return false;
-  }
-  if (column >= rel.schema().size()) return false;
-  if (rel.column(column).storage() == Column::Storage::kMixed) return false;
-  out->column = column;
-  return true;
-}
-
 // Type-level comparability between a typed column and a non-null
 // constant; kMixed is conservatively incomparable (per-row types are
 // unknown up front).
@@ -62,16 +23,6 @@ bool StorageComparableWith(Column::Storage s, ValueType t) {
       return false;
   }
   return false;
-}
-
-// Could this condition surface a TypeError on some row? True exactly
-// when every non-null entry errors (types are uniform per typed
-// column), which is what makes conjunct-major evaluation reproduce the
-// row-major first error.
-bool ConditionMayError(const Column& col, const ColumnCondition& cond) {
-  if (cond.constant.is_null()) return false;      // null compares are false
-  if (cond.op == CompareOp::kLike) return false;  // LIKE never errors
-  return !StorageComparableWith(col.storage(), cond.constant.type());
 }
 
 bool OpHolds(CompareOp op, int c) {
@@ -94,9 +45,7 @@ bool OpHolds(CompareOp op, int c) {
   return false;
 }
 
-// Can block `b` contribute no rows to `cond`? Only consulted for
-// conditions that cannot error (an error must be produced, never
-// zone-skipped).
+// Can block `b` contribute no rows to `cond`?
 bool BlockPrunable(const ColumnarRelation& rel, const ColumnCondition& cond,
                    size_t b) {
   const BlockStats& st = rel.stats(cond.column, b);
@@ -156,7 +105,7 @@ void SieveTyped(CompareOp op, const std::vector<uint8_t>& nulls, Cmp cmp,
 
 // Applies one condition over block rows [first, last): typed tight loop
 // when the storage and constant types allow, generic ApplyCompare
-// (with the original operand orientation) otherwise.
+// otherwise.
 Status ApplyCondition(const ColumnarRelation& rel, const ColumnCondition& cond,
                       bool build, size_t first, size_t last,
                       std::vector<uint32_t>* sel) {
@@ -226,18 +175,13 @@ Status ApplyCondition(const ColumnarRelation& rel, const ColumnCondition& cond,
         break;  // unreachable: StorageComparableWith rejects kMixed
     }
   }
-  // Generic path: kLike, incomparable types (which error on non-null
-  // rows), and kMixed storage. Re-applies the source orientation so
-  // TypeError text matches the row scan.
-  CompareOp orig = cond.constant_first ? MirrorOp(cond.op) : cond.op;
+  // Generic path: kLike and kMixed storage.
   Status status = Status::Ok();
   Sieve(
       build, first, last,
       [&](size_t r) {
         if (!status.ok()) return false;
-        Value v = col.Get(r);
-        Result<bool> keep = cond.constant_first ? ApplyCompare(orig, cv, v)
-                                                : ApplyCompare(orig, v, cv);
+        Result<bool> keep = ApplyCompare(cond.op, col.Get(r), cv);
         if (!keep.ok()) {
           status = keep.status();
           return false;
@@ -256,8 +200,8 @@ Result<std::vector<uint32_t>> EvalColumnarBlock(
   for (const ColumnCondition& cond : conds) {
     IQS_RETURN_IF_ERROR(ApplyCondition(rel, cond, !built, first, last, &sel));
     built = true;
-    // Every remaining row was rejected; later conjuncts (and the
-    // residual) never see them in the row scan either.
+    // Every row was rejected: nothing is left for later conditions or
+    // the residual.
     if (sel.empty()) return sel;
   }
   if (!built) {
@@ -277,29 +221,14 @@ Result<std::vector<uint32_t>> EvalColumnarBlock(
   return sel;
 }
 
-}  // namespace
+// Smallest parallel chunk of a scan without a residual, in blocks. Typed
+// conditions cost a few microseconds per block, less than waking the
+// pool's workers, so such a scan runs inline below twice this; with a
+// residual every surviving row is materialized and evaluated, which pays
+// for a chunk per block.
+constexpr size_t kConditionBlocksPerChunk = 32;
 
-ExtractedConjuncts ExtractColumnConditions(const PredicatePtr& pred,
-                                           const ColumnarRelation& rel) {
-  ExtractedConjuncts out;
-  if (pred == nullptr) return out;
-  std::vector<PredicatePtr> leaves;
-  FlattenAnd(pred, &leaves);
-  size_t i = 0;
-  for (; i < leaves.size(); ++i) {
-    ColumnCondition cond;
-    if (!ExtractLeaf(*leaves[i], rel, &cond)) break;
-    out.conditions.push_back(std::move(cond));
-  }
-  // Re-fold the remaining leaves left-associatively; AND leaf order (and
-  // so evaluation order) is invariant under re-association.
-  for (; i < leaves.size(); ++i) {
-    out.residual = out.residual == nullptr
-                       ? leaves[i]
-                       : MakeAnd(std::move(out.residual), leaves[i]);
-  }
-  return out;
-}
+}  // namespace
 
 Result<std::vector<uint32_t>> ColumnarScan(
     const ColumnarRelation& rel,
@@ -307,21 +236,14 @@ Result<std::vector<uint32_t>> ColumnarScan(
     ColumnarScanStats* stats) {
   size_t blocks = rel.block_count();
 
-  // Zone pruning may consult conjuncts only up to the first one that
-  // could surface an error: that error must be produced, not skipped.
-  size_t prunable_prefix = 0;
-  for (const ColumnCondition& c : conditions) {
-    if (ConditionMayError(rel.column(c.column), c)) break;
-    ++prunable_prefix;
-  }
-
   struct Acc {
     std::vector<uint32_t> rows;
     size_t pruned = 0;
   };
   using Part = Result<Acc>;
   Part merged = exec::ParallelReduce<Part>(
-      "exec.scan.columnar", blocks, 1, Acc{},
+      "exec.scan.columnar", blocks,
+      residual == nullptr ? kConditionBlocksPerChunk : 1, Acc{},
       [&](size_t bfirst, size_t bend) -> Part {
         Acc local;
         for (size_t b = bfirst; b < bend; ++b) {
@@ -329,7 +251,7 @@ Result<std::vector<uint32_t>> ColumnarScan(
           // the deadline is observed at block cadence.
           IQS_GOV_CHECKPOINT("columnar.scan");
           bool pruned = false;
-          for (size_t i = 0; i < prunable_prefix && !pruned; ++i) {
+          for (size_t i = 0; i < conditions.size() && !pruned; ++i) {
             pruned = BlockPrunable(rel, conditions[i], b);
           }
           if (pruned) {

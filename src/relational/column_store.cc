@@ -1,6 +1,5 @@
 #include "relational/column_store.h"
 
-#include <atomic>
 #include <utility>
 
 #include "exec/exec_context.h"
@@ -9,8 +8,6 @@
 namespace iqs {
 
 namespace {
-
-std::atomic<bool> g_columnar_enabled{true};
 
 int Sign3(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
 
@@ -31,14 +28,6 @@ Column::Storage StorageFor(ValueType type) {
 }
 
 }  // namespace
-
-bool ColumnarEnabled() {
-  return g_columnar_enabled.load(std::memory_order_relaxed);
-}
-
-void SetColumnarEnabled(bool enabled) {
-  g_columnar_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 Value Column::Get(size_t row) const {
   switch (storage_) {
@@ -217,9 +206,10 @@ ColumnarRelation ColumnarRelation::FromRelation(const Relation& rel) {
 }
 
 Tuple ColumnarRelation::MaterializeRow(size_t row) const {
-  Tuple out;
-  for (const Column& col : columns_) out.Append(col.Get(row));
-  return out;
+  std::vector<Value> values;
+  values.reserve(columns_.size());
+  for (const Column& col : columns_) values.push_back(col.Get(row));
+  return Tuple(std::move(values));
 }
 
 Relation ColumnarRelation::ToRelation() const {

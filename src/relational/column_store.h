@@ -17,22 +17,19 @@ namespace iqs {
 // relation keyed by the data epoch, so any mutation retires it the same
 // way it retires cached answers.
 //
-// Semantics contract: every operator over this representation
-// (ColumnarScan in algebra.h, the columnar induction path) must produce
-// byte-identical output — including error text and first-error order —
-// to its row-at-a-time reference. The differential suite under
-// `ctest -L columnar` holds both paths to that contract.
+// It is the one read path for stored relations: the SQL executor (and
+// QUEL, which lowers onto it) reads every stored FROM entry through
+// ColumnarScan in algebra.h, induction sorts and segments these columns,
+// and the data dictionary folds its active domains from the zone maps.
+// Semantics contract: each produces byte-identical output to an
+// independent row-at-a-time reference — testing_util::TupleAtATimeRows
+// for queries, InduceSchemeRowsWithStats for induction,
+// Relation::ActiveDomain for domains; `ctest -L columnar` checks it.
 
 // Rows per block. Zone maps are kept per (column, block); 1024 keeps the
 // per-block metadata negligible while making min/max skips coarse enough
 // to pay for themselves.
 inline constexpr size_t kColumnarBlockRows = 1024;
-
-// Process-wide switch consulted by the SQL/QUEL executors and the
-// induction entry points. On by default; the differential tests flip it
-// to run the row and columnar paths against each other in one process.
-bool ColumnarEnabled();
-void SetColumnarEnabled(bool enabled);
 
 // Per-(column, block) statistics. min/max are over non-null entries only
 // (null sorts below everything, so folding it in would pin every min);

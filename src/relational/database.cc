@@ -73,6 +73,11 @@ Status Database::Drop(const std::string& name) {
   }
   std::string stored_name = it->second->name();
   InvalidateIndexes(it->first);
+  {
+    // Readers holding the snapshot keep it; the database lets it go.
+    std::lock_guard<std::mutex> lock(columnar_mu_);
+    columnar_.erase(it->first);
+  }
   relations_.erase(it);
   creation_order_.erase(
       std::remove_if(creation_order_.begin(), creation_order_.end(),

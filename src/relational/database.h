@@ -75,8 +75,8 @@ class Database {
   // ---- secondary indexes ---------------------------------------------
 
   // Builds (or rebuilds) a sorted index over `attribute` of `relation`.
-  // The SQL executor uses registered indexes to replace full scans for
-  // single-table point/range restrictions.
+  // The SQL executor uses registered indexes in place of the scan of a
+  // FROM entry that a point/range conjunct restricts.
   Status CreateIndex(const std::string& relation,
                      const std::string& attribute);
 
@@ -95,10 +95,10 @@ class Database {
   // The columnar snapshot of the named base relation (DESIGN.md §14),
   // built on first use and cached keyed by the data epoch — any
   // mutation retires it the same way it retires cached answers. The
-  // returned shared_ptr stays valid across later mutations (it is a
-  // snapshot, not a view). NotFound for unknown (including virtual)
-  // names; virtual relations are materialized fresh per statement and
-  // never reach this cache.
+  // returned shared_ptr stays valid across later mutations and Drop (it
+  // is a snapshot, not a view); Drop frees the cached one. NotFound for
+  // unknown (including virtual) names; virtual relations are
+  // materialized fresh per statement and never reach this cache.
   Result<std::shared_ptr<const ColumnarRelation>> ColumnarSnapshot(
       const std::string& name) const;
 

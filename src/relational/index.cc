@@ -63,20 +63,6 @@ std::vector<size_t> SortedIndex::Range(const Value& lo,
   return out;
 }
 
-size_t SortedIndex::CountRange(const Value& lo, const Value& hi) const {
-  size_t begin = LowerBound(lo);
-  size_t end = UpperBound(hi);
-  return end > begin ? end - begin : 0;
-}
-
-std::vector<Value> SortedIndex::DistinctValues() const {
-  std::vector<Value> out;
-  for (const Entry& e : entries_) {
-    if (out.empty() || out.back() != e.value) out.push_back(e.value);
-  }
-  return out;
-}
-
 Result<Value> SortedIndex::Min() const {
   if (entries_.empty()) return Status::NotFound("index is empty");
   return entries_.front().value;

@@ -33,12 +33,6 @@ class SortedIndex {
   // Row ids with lo <= value <= hi (inclusive both ends).
   std::vector<size_t> Range(const Value& lo, const Value& hi) const;
 
-  // Number of rows with lo <= value <= hi, without materializing ids.
-  size_t CountRange(const Value& lo, const Value& hi) const;
-
-  // Distinct values present in the index, ascending.
-  std::vector<Value> DistinctValues() const;
-
   // Smallest / largest indexed value; NotFound when empty.
   Result<Value> Min() const;
   Result<Value> Max() const;

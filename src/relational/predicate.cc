@@ -202,11 +202,4 @@ PredicatePtr MakeNot(PredicatePtr inner) {
   return std::make_shared<NotPredicate>(std::move(inner));
 }
 
-Result<PredicatePtr> MakeColumnCompare(const Schema& schema,
-                                       const std::string& column,
-                                       CompareOp op, Value constant) {
-  IQS_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(column));
-  return MakeCompare(op, MakeColumn(idx), MakeConstant(std::move(constant)));
-}
-
 }  // namespace iqs

@@ -156,11 +156,6 @@ PredicatePtr MakeAnd(PredicatePtr lhs, PredicatePtr rhs);
 PredicatePtr MakeOr(PredicatePtr lhs, PredicatePtr rhs);
 PredicatePtr MakeNot(PredicatePtr inner);
 
-// Column-vs-constant comparison against a named attribute of `schema`.
-Result<PredicatePtr> MakeColumnCompare(const Schema& schema,
-                                       const std::string& column,
-                                       CompareOp op, Value constant);
-
 }  // namespace iqs
 
 #endif  // IQS_RELATIONAL_PREDICATE_H_

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/string_util.h"
-
 namespace iqs {
 
 std::string Consequent::ToString() const {
@@ -40,40 +38,6 @@ void RuleSet::Add(Rule rule) {
 
 void RuleSet::AddAll(std::vector<Rule> rules) {
   for (Rule& r : rules) Add(std::move(r));
-}
-
-std::vector<const Rule*> RuleSet::WithRhsType(
-    const std::string& type_name) const {
-  std::vector<const Rule*> out;
-  for (const Rule& r : rules_) {
-    if (EqualsIgnoreCase(r.rhs.isa_type, type_name)) out.push_back(&r);
-  }
-  return out;
-}
-
-std::vector<const Rule*> RuleSet::WithRhsAttribute(
-    const std::string& attribute) const {
-  std::vector<const Rule*> out;
-  for (const Rule& r : rules_) {
-    if (EqualsIgnoreCase(r.rhs.clause.attribute(), attribute)) {
-      out.push_back(&r);
-    }
-  }
-  return out;
-}
-
-std::vector<const Rule*> RuleSet::WithLhsAttribute(
-    const std::string& attribute) const {
-  std::vector<const Rule*> out;
-  for (const Rule& r : rules_) {
-    for (const Clause& c : r.lhs) {
-      if (EqualsIgnoreCase(c.attribute(), attribute)) {
-        out.push_back(&r);
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 size_t RuleSet::Prune(int64_t min_support) {

@@ -68,14 +68,6 @@ class RuleSet {
   const Rule& rule(size_t i) const { return rules_[i]; }
   const std::vector<Rule>& rules() const { return rules_; }
 
-  // Rules whose RHS isa-type equals `type_name`.
-  std::vector<const Rule*> WithRhsType(const std::string& type_name) const;
-  // Rules whose RHS clause constrains `attribute` (qualified name match,
-  // case-insensitive).
-  std::vector<const Rule*> WithRhsAttribute(const std::string& attribute) const;
-  // Rules with some LHS clause over `attribute`.
-  std::vector<const Rule*> WithLhsAttribute(const std::string& attribute) const;
-
   // Drops rules with support < min_support; returns how many were removed.
   size_t Prune(int64_t min_support);
 

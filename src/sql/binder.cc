@@ -20,11 +20,29 @@ struct Operand {
   ExprPtr ToExpr() const {
     return column.has_value() ? MakeColumn(*column) : MakeConstant(constant);
   }
+  ValueType Type(const Schema& schema) const {
+    return column.has_value() ? schema.attribute(*column).type
+                              : constant.type();
+  }
 };
 
+// Can values of these declared types meet in ApplyCompare? A null
+// constant compares false with anything.
+bool TypesComparable(ValueType a, ValueType b) {
+  auto numeric = [](ValueType t) {
+    return t == ValueType::kInt || t == ValueType::kReal;
+  };
+  return a == ValueType::kNull || b == ValueType::kNull || a == b ||
+         (numeric(a) && numeric(b));
+}
+
 // Binds the operands of `a <op> b`: columns resolve left to right, then a
-// literal facing a column is coerced to that column's type.
+// literal facing a column is coerced to that column's type, then the two
+// sides must be comparable: the TypeError ApplyCompare would raise on
+// every row is raised once, here. LIKE matches rendered strings and is
+// exempt.
 Result<std::pair<Operand, Operand>> BindOperands(const Schema& schema,
+                                                 CompareOp op,
                                                  const SqlOperand& a,
                                                  const SqlOperand& b) {
   Operand x{std::nullopt, a.literal};
@@ -44,6 +62,12 @@ Result<std::pair<Operand, Operand>> BindOperands(const Schema& schema,
     IQS_ASSIGN_OR_RETURN(y.constant,
                          CoerceLiteral(b.literal, b.raw,
                                        schema.attribute(*x.column).type));
+  }
+  ValueType xt = x.Type(schema);
+  ValueType yt = y.Type(schema);
+  if (op != CompareOp::kLike && !TypesComparable(xt, yt)) {
+    return Status::TypeError(std::string("cannot compare ") +
+                             ValueTypeName(xt) + " with " + ValueTypeName(yt));
   }
   return std::make_pair(std::move(x), std::move(y));
 }
@@ -66,9 +90,12 @@ Result<PredicatePtr> BindExpr(const SqlExpr& expr, const Schema& schema,
   switch (expr.kind) {
     case SqlExpr::Kind::kComparison: {
       IQS_ASSIGN_OR_RETURN(auto sides,
-                           BindOperands(schema, expr.lhs, expr.rhs));
+                           BindOperands(schema, expr.op, expr.lhs, expr.rhs));
       const auto& [l, r] = sides;
-      if (shape != nullptr && (l.column || r.column)) {
+      // `'T%' LIKE Name` matches the constant against the pattern in
+      // Name; it has no column-first form.
+      const bool literal_like = expr.op == CompareOp::kLike && !l.column;
+      if (shape != nullptr && (l.column || r.column) && !literal_like) {
         const Operand& col = l.column ? l : r;
         const Operand& val = l.column ? r : l;
         shape->column = Locate(*tables, schema, *col.column);
@@ -84,9 +111,10 @@ Result<PredicatePtr> BindExpr(const SqlExpr& expr, const Schema& schema,
       return MakeCompare(expr.op, l.ToExpr(), r.ToExpr());
     }
     case SqlExpr::Kind::kBetween: {
-      IQS_ASSIGN_OR_RETURN(auto low, BindOperands(schema, expr.lhs, expr.low));
-      IQS_ASSIGN_OR_RETURN(auto high,
-                           BindOperands(schema, expr.lhs, expr.high));
+      IQS_ASSIGN_OR_RETURN(
+          auto low, BindOperands(schema, CompareOp::kGe, expr.lhs, expr.low));
+      IQS_ASSIGN_OR_RETURN(
+          auto high, BindOperands(schema, CompareOp::kLe, expr.lhs, expr.high));
       if (shape != nullptr && low.first.column && !low.second.column &&
           !high.second.column) {
         shape->kind = BoundConjunct::Kind::kBetween;
@@ -258,10 +286,11 @@ Result<BoundQuery> Bind(const SelectStatement& stmt, const Database& db) {
   for (const SqlExpr* expr : TopLevelConjuncts(stmt.where.get())) {
     BoundConjunct conjunct;
     conjunct.expr = expr;
-    IQS_ASSIGN_OR_RETURN(PredicatePtr pred,
+    IQS_ASSIGN_OR_RETURN(conjunct.predicate,
                          BindExpr(*expr, q.schema, &q.tables, &conjunct));
-    q.where = q.where == nullptr ? std::move(pred)
-                                 : MakeAnd(std::move(q.where), std::move(pred));
+    q.where = q.where == nullptr ? conjunct.predicate
+                                 : MakeAnd(std::move(q.where),
+                                           conjunct.predicate);
     q.conjuncts.push_back(std::move(conjunct));
   }
   return q;

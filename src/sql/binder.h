@@ -39,8 +39,10 @@ Result<size_t> ResolveColumn(const Schema& schema, const ColumnRef& ref);
 // Binds a WHERE or HAVING expression to a predicate over `schema`:
 // columns resolve through ResolveColumn, a literal facing a column is
 // coerced through CoerceLiteral, and `x BETWEEN a AND b` becomes
-// `x >= a AND x <= b`. Errors surface in the order of a left-to-right
-// walk of the tree.
+// `x >= a AND x <= b`. A comparison (LIKE aside) whose two sides have
+// incomparable types fails with ApplyCompare's TypeError, so the bound
+// predicate cannot fail on rows that conform to their schema. Errors
+// surface in the order of a left-to-right walk of the tree.
 Result<PredicatePtr> BindPredicate(const SqlExpr& expr, const Schema& schema);
 
 // One FROM entry: a stored relation, or the sys.* snapshot taken at bind
@@ -65,13 +67,15 @@ struct BoundColumn {
 // coerced to the column's type.
 struct BoundConjunct {
   enum class Kind {
-    kOther,    // OR, NOT, literal-literal, BETWEEN over columns
+    kOther,    // OR, NOT, literal-literal, BETWEEN over columns,
+               // constant LIKE column
     kCompare,  // column <op> constant
     kBetween,  // column BETWEEN constant AND high
     kColumns,  // column <op> other
   };
   Kind kind = Kind::kOther;
   const SqlExpr* expr = nullptr;
+  PredicatePtr predicate;  // this conjunct over BoundQuery::schema
   BoundColumn column;
   CompareOp op = CompareOp::kEq;  // kCompare / kColumns
   Value constant;                 // kCompare; kBetween's low bound
@@ -88,7 +92,7 @@ struct BoundQuery {
   // Every entry's attributes named "<effective>.<attr>", in FROM order:
   // the layout `where` is bound over.
   Schema schema;
-  PredicatePtr where;  // null when the statement has no WHERE
+  PredicatePtr where;  // the conjuncts' predicates ANDed; null without WHERE
   std::vector<BoundConjunct> conjuncts;
 
   const AttributeDef& attribute(const BoundColumn& column) const {
@@ -102,8 +106,8 @@ struct BoundQuery {
 };
 
 // Binds `stmt` against `db`. Errors: an empty FROM list, an unknown or
-// doubly named relation, then the first WHERE resolution or coercion
-// error in a left-to-right walk. The select list, GROUP BY, HAVING and
+// doubly named relation, then the first WHERE resolution, coercion or
+// type error in a left-to-right walk. The select list, GROUP BY, HAVING and
 // ORDER BY are resolved by the executor, through ResolveColumn, against
 // the joined or aggregated schema they name.
 Result<BoundQuery> Bind(const SelectStatement& stmt, const Database& db);

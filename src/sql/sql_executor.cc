@@ -127,39 +127,7 @@ Result<Relation> SqlExecutor::ExecuteMeasured(const BoundQuery& bound,
   return result;
 }
 
-Result<bool> SqlExecutor::TryColumnarScan(const BoundQuery& bound,
-                                          Relation* qualified) const {
-  Result<std::shared_ptr<const ColumnarRelation>> snap =
-      db_->ColumnarSnapshot(bound.tables[0].ref.name);
-  if (!snap.ok()) return false;  // relation vanished: let the row path report
-  // A one-table layout matches the base relation's attribute order, so
-  // bound column slots address the snapshot's columns directly.
-  ExtractedConjuncts split = ExtractColumnConditions(bound.where, **snap);
-  if (split.conditions.empty()) return false;
-  ColumnarScanStats scan_stats;
-  IQS_ASSIGN_OR_RETURN(std::vector<uint32_t> admitted,
-                       ColumnarScan(**snap, split.conditions,
-                                    split.residual.get(), &scan_stats));
-  size_t materialized = 0;
-  for (uint32_t r : admitted) {
-    if ((materialized & 1023) == 0) {
-      IQS_RETURN_IF_ERROR(exec::ChargeRows(
-          "columnar.scan", std::min<size_t>(1024, admitted.size() - materialized),
-          qualified->schema().size()));
-    }
-    qualified->AppendUnchecked((*snap)->MaterializeRow(r));
-    ++materialized;
-  }
-  ++stats_.columnar_tables;
-  stats_.columnar_blocks_total += scan_stats.blocks_total;
-  stats_.columnar_blocks_pruned += scan_stats.blocks_pruned;
-  IQS_COUNTER_INC("sql.execute.columnar_path");
-  IQS_COUNTER_ADD("sql.execute.columnar_blocks_pruned",
-                  scan_stats.blocks_pruned);
-  return true;
-}
-
-std::optional<std::vector<size_t>> SqlExecutor::IndexRows(
+std::optional<std::vector<uint32_t>> SqlExecutor::IndexRows(
     const BoundQuery& bound, size_t table) const {
   for (const BoundConjunct& c : bound.conjuncts) {
     const bool between = c.kind == BoundConjunct::Kind::kBetween;
@@ -177,24 +145,64 @@ std::optional<std::vector<size_t>> SqlExecutor::IndexRows(
       auto min = index->Min();
       auto max = index->Max();
       if (!min.ok() || !max.ok()) {
-        return std::vector<size_t>{};  // empty index: nothing matches
+        return std::vector<uint32_t>{};  // empty index: nothing matches
       }
       if (c.op == CompareOp::kLt || c.op == CompareOp::kLe) lo = *min;
       if (c.op == CompareOp::kGt || c.op == CompareOp::kGe) hi = *max;
     }
     if (!lo.ComparableWith(hi)) continue;
-    if (lo > hi) return std::vector<size_t>{};
-    return index->Range(lo, hi);
+    if (lo > hi) return std::vector<uint32_t>{};
+    std::vector<size_t> rows = index->Range(lo, hi);
+    return std::vector<uint32_t>(rows.begin(), rows.end());
   }
   return std::nullopt;
+}
+
+Result<std::vector<uint32_t>> SqlExecutor::ScanRows(
+    const BoundQuery& bound, size_t table,
+    const ColumnarRelation& snapshot) const {
+  const bool one_entry = bound.tables.size() == 1;
+  std::vector<ColumnCondition> conditions;
+  PredicatePtr residual;
+  for (const BoundConjunct& c : bound.conjuncts) {
+    const bool between = c.kind == BoundConjunct::Kind::kBetween;
+    if ((between || c.kind == BoundConjunct::Kind::kCompare) &&
+        c.column.table == table &&
+        snapshot.column(c.column.slot).storage() != Column::Storage::kMixed) {
+      if (between) {
+        conditions.push_back({c.column.slot, CompareOp::kGe, c.constant});
+        conditions.push_back({c.column.slot, CompareOp::kLe, c.high});
+      } else {
+        conditions.push_back({c.column.slot, c.op, c.constant});
+      }
+    } else if (one_entry) {
+      // A one-entry layout is the relation's own, so the conjunct's
+      // bound slots address the snapshot's columns directly.
+      residual = residual == nullptr ? c.predicate
+                                     : MakeAnd(std::move(residual),
+                                               c.predicate);
+    }
+  }
+  ColumnarScanStats scan_stats;
+  IQS_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> admitted,
+      ColumnarScan(snapshot, conditions, residual.get(), &scan_stats));
+  ++stats_.columnar_tables;
+  stats_.columnar_blocks_total += scan_stats.blocks_total;
+  stats_.columnar_blocks_pruned += scan_stats.blocks_pruned;
+  IQS_COUNTER_INC("sql.execute.columnar_path");
+  IQS_COUNTER_ADD("sql.execute.columnar_blocks_pruned",
+                  scan_stats.blocks_pruned);
+  return admitted;
 }
 
 Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
                                               bool schema_only) const {
   const SelectStatement& stmt = *bound.statement;
-  // Load and qualify each table. Virtual (sys.*) relations arrive as the
-  // binder's snapshots; they have no indexes or columnar form, so the
-  // fast paths only apply to stored relations.
+  // Load and qualify each FROM entry. A sys.* entry arrives as the
+  // binder's row snapshot. A stored entry loads only the rows its own
+  // conjuncts admit: an index serving one of them picks them, else the
+  // columnar scan does.
   std::vector<Relation> tables;
   bool where_filtered = false;
   for (size_t e = 0; e < bound.tables.size(); ++e) {
@@ -202,6 +210,7 @@ Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
     const Relation& rel = *entry.relation;
     Relation qualified =
         QualifiedEmpty(rel.schema(), entry.ref.effective_name());
+    const size_t width = qualified.schema().size();
     if (schema_only) {
       // Proven-empty scan skip: only the schema participates; joins,
       // filtering, aggregation, and projection all still run so the
@@ -209,40 +218,36 @@ Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
       tables.push_back(std::move(qualified));
       continue;
     }
-    // Index fast path: a bound conjunct restricting an indexed column of
-    // this entry (including the BETWEEN the semantic optimizer's
-    // narrowing emits) materializes only the admitted rows, in base
-    // order.
-    std::optional<std::vector<size_t>> admitted =
-        entry.is_virtual() ? std::nullopt : IndexRows(bound, e);
-    if (admitted.has_value()) {
-      ++stats_.index_prefiltered_tables;
-      for (size_t r : *admitted) qualified.AppendUnchecked(rel.row(r));
-      stats_.base_rows_loaded += qualified.size();
+    if (entry.is_virtual()) {
+      for (const Tuple& t : rel.rows()) qualified.AppendUnchecked(t);
+      stats_.base_rows_loaded += rel.size();
+      IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", rel.size(), width));
       tables.push_back(std::move(qualified));
-      IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", tables.back().size(),
-                                           tables.back().schema().size()));
       continue;
     }
-    stats_.base_rows_loaded += rel.size();
-    // Columnar fast path: a one-table restriction with no usable index
-    // runs as a zone-map-pruned batch scan over the columnar snapshot
-    // and arrives here already WHERE-filtered.
-    if (bound.tables.size() == 1 && bound.where != nullptr &&
-        !entry.is_virtual() && ColumnarEnabled()) {
-      IQS_ASSIGN_OR_RETURN(bool scanned, TryColumnarScan(bound, &qualified));
-      if (scanned) {
-        tables.push_back(std::move(qualified));
-        where_filtered = true;
-        continue;
-      }
+    std::shared_ptr<const ColumnarRelation> snapshot;
+    std::optional<std::vector<uint32_t>> admitted = IndexRows(bound, e);
+    if (admitted.has_value()) {
+      ++stats_.index_prefiltered_tables;
+      stats_.base_rows_loaded += admitted->size();
+    } else {
+      IQS_ASSIGN_OR_RETURN(snapshot, db_->ColumnarSnapshot(entry.ref.name));
+      IQS_ASSIGN_OR_RETURN(admitted, ScanRows(bound, e, *snapshot));
+      stats_.base_rows_loaded += rel.size();
+      where_filtered = bound.tables.size() == 1;
     }
-    for (const Tuple& t : rel.rows()) qualified.AppendUnchecked(t);
+    // One materialization loop for both paths, charged per 1024 rows
+    // before they land.
+    for (size_t i = 0; i < admitted->size(); ++i) {
+      if ((i & 1023) == 0) {
+        IQS_RETURN_IF_ERROR(exec::ChargeRows(
+            "sql.scan", std::min<size_t>(1024, admitted->size() - i), width));
+      }
+      const uint32_t r = (*admitted)[i];
+      qualified.AppendUnchecked(
+          snapshot != nullptr ? snapshot->MaterializeRow(r) : rel.row(r));
+    }
     tables.push_back(std::move(qualified));
-    // The qualified copy is the scan stage's big materialization — the
-    // whole base relation duplicated under qualified names.
-    IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", tables.back().size(),
-                                         tables.back().schema().size()));
   }
 
   // Greedy join plan: start with the first table; repeatedly attach a
@@ -316,10 +321,10 @@ Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
     }
   }
 
-  // Filter with the full WHERE clause (unless the columnar scan already
-  // applied it). Partitioned scan: chunks keep local row vectors
-  // concatenated in chunk order, so row order and the first reported
-  // error match the serial scan.
+  // Filter with the full WHERE clause, unless the scan of a one-entry
+  // FROM already applied it. Partitioned filter: chunks keep local row
+  // vectors concatenated in chunk order, so row order matches the serial
+  // filter.
   if (bound.where != nullptr && !where_filtered) {
     PredicatePtr pred = bound.WhereAt(offsets);
     const std::vector<Tuple>& rows = working.rows();

@@ -1,6 +1,7 @@
 #ifndef IQS_SQL_SQL_EXECUTOR_H_
 #define IQS_SQL_SQL_EXECUTOR_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,11 +13,12 @@
 namespace iqs {
 
 // Executes SELECT statements against a Database, producing the
-// extensional answer (paper §4). The working relation is the join of the
-// FROM tables — equi-join conditions found in the WHERE clause drive a
-// greedy hash-join plan; remaining tables fall back to cross products —
-// filtered by the full WHERE predicate, then projected / deduplicated /
-// sorted.
+// extensional answer (paper §4). Each stored FROM entry loads the rows
+// its own conjuncts admit, through an index or the columnar scan; the
+// working relation is the join of the entries — equi-join conditions
+// found in the WHERE clause drive a greedy hash-join plan; remaining
+// entries fall back to cross products — filtered by the full WHERE
+// predicate, then projected / deduplicated / sorted.
 class SqlExecutor {
  public:
   // `db` must outlive the executor.
@@ -39,19 +41,18 @@ class SqlExecutor {
   // Parses and executes.
   Result<Relation> ExecuteSql(const std::string& sql) const;
 
-  // Observability for the index fast path: when a WHERE conjunct
-  // restricts an indexed column of a FROM table with a constant, the
-  // executor loads only the index-admitted rows instead of the whole
-  // relation (the full WHERE still applies afterwards, so open bounds
-  // may over-approximate safely).
+  // How the FROM entries were read. An entry whose conjunct restricts an
+  // indexed column loads only the index-admitted rows (the full WHERE
+  // still applies afterwards, so open bounds may over-approximate
+  // safely); every other stored entry is read by the columnar scan.
   struct ExecutionStats {
     size_t index_prefiltered_tables = 0;
-    size_t base_rows_loaded = 0;  // rows materialized across FROM tables
-    size_t rows_returned = 0;     // result cardinality
-    // Columnar fast path (DESIGN.md §14): tables answered from the
-    // columnar snapshot, and its zone-map block accounting.
-    // base_rows_loaded still counts the full relation size for a
-    // columnar table — pruning shows up here, not there.
+    // Rows read across FROM entries: the index-admitted rows, or the
+    // whole relation for a scanned or sys.* entry.
+    size_t base_rows_loaded = 0;
+    size_t rows_returned = 0;  // result cardinality
+    // Entries read by the columnar scan (DESIGN.md §14) and its zone-map
+    // block accounting: pruning shows up here, not in base_rows_loaded.
     size_t columnar_tables = 0;
     size_t columnar_blocks_total = 0;
     size_t columnar_blocks_pruned = 0;
@@ -72,28 +73,26 @@ class SqlExecutor {
   Result<Relation> ExecuteInternal(const BoundQuery& bound,
                                    bool schema_only) const;
 
-  // Index fast path: the rows of stored entry `table` admitted by the
-  // first bound conjunct that restricts one of its indexed columns to a
-  // range, ascending; nullopt when no conjunct applies. The full WHERE
-  // still runs afterwards, so an open bound's closed hull is safe.
-  std::optional<std::vector<size_t>> IndexRows(const BoundQuery& bound,
-                                               size_t table) const;
+  // Index path: the rows of stored entry `table` admitted by the first
+  // bound conjunct that restricts one of its indexed columns to a range,
+  // ascending; nullopt when no conjunct applies. The full WHERE still
+  // runs afterwards, so an open bound's closed hull is safe.
+  std::optional<std::vector<uint32_t>> IndexRows(const BoundQuery& bound,
+                                                 size_t table) const;
+
+  // Scan path: the rows of stored entry `table` that ColumnarScan admits
+  // over `snapshot`. The conditions are the entry's kCompare/kBetween
+  // conjuncts on typed columns. In a one-entry FROM every other conjunct
+  // is the residual, so the rows returned satisfy the whole WHERE; in a
+  // multi-entry FROM they only prune the entry before the join.
+  Result<std::vector<uint32_t>> ScanRows(
+      const BoundQuery& bound, size_t table,
+      const ColumnarRelation& snapshot) const;
 
   // An empty relation over `schema` with attributes renamed
   // "<effective>.<attr>": the shell each FROM entry's rows load into.
   static Relation QualifiedEmpty(const Schema& schema,
                                  const std::string& effective_name);
-
-  // Columnar fast path for a single-table SELECT with a WHERE clause
-  // and no index-admitted prefilter: splits the bound predicate into its
-  // column-vs-constant conjunct prefix and runs the zone-map-pruned
-  // batch scan over the cached columnar snapshot. On success appends
-  // the admitted rows to `*qualified` and returns true — the WHERE
-  // clause is then fully applied. Returns false (appending nothing)
-  // when no conjunct is extractable and the row scan should run
-  // instead.
-  Result<bool> TryColumnarScan(const BoundQuery& bound,
-                               Relation* qualified) const;
 
   // Hash equi-join of two working relations on the given columns.
   static Result<Relation> JoinOn(const Relation& left, size_t left_col,

@@ -3,6 +3,8 @@
 
 #include "sql/binder.h"
 
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "sql/sql_executor.h"
 #include "sql/sql_parser.h"
@@ -196,6 +198,77 @@ TEST_F(BinderTest, MixedSpellingBetweenBindsTypedBounds) {
   EXPECT_EQ(q.conjuncts[0].constant.type(), ValueType::kInt);
   EXPECT_EQ(q.conjuncts[0].high, Value::Int(4000));
   EXPECT_EQ(q.conjuncts[1].kind, BoundConjunct::Kind::kOther);
+}
+
+TEST_F(BinderTest, IncomparableComparisonsFailWithApplyComparesText) {
+  struct Case {
+    const char* sql;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      // column vs column
+      {"SELECT Id FROM SUBMARINE s, CLASS c WHERE s.Id = c.Displacement",
+       "cannot compare string with integer"},
+      // literal vs literal
+      {"SELECT Id FROM SUBMARINE WHERE 1 = 'a'",
+       "cannot compare integer with string"},
+      // inside OR, and inside NOT
+      {"SELECT Id FROM SUBMARINE s, CLASS c "
+       "WHERE s.Class = '0204' OR c.Displacement < s.Name",
+       "cannot compare integer with string"},
+      {"SELECT Id FROM SUBMARINE s, CLASS c WHERE NOT s.Id <> c.Displacement",
+       "cannot compare string with integer"},
+      // either bound of a BETWEEN
+      {"SELECT Class FROM CLASS WHERE Displacement BETWEEN 1 AND Type",
+       "cannot compare integer with string"},
+      {"SELECT Class FROM CLASS WHERE Type BETWEEN Displacement AND 'z'",
+       "cannot compare string with integer"},
+  };
+  for (const Case& c : cases) {
+    Result<BoundQuery> q = BindSql(c.sql);
+    ASSERT_FALSE(q.ok()) << c.sql;
+    EXPECT_EQ(q.status().code(), StatusCode::kTypeError) << c.sql;
+    EXPECT_EQ(q.status().message(), c.message) << c.sql;
+  }
+  // Numeric types meet; LIKE matches rendered strings and never errors.
+  EXPECT_OK(BindSql("SELECT Id FROM SUBMARINE WHERE 1 < 2.5").status());
+  EXPECT_OK(BindSql("SELECT Id FROM SUBMARINE s, CLASS c "
+                    "WHERE s.Id LIKE c.Displacement")
+                .status());
+}
+
+TEST_F(BinderTest, IncomparableJoinsFailEvenWithoutRows) {
+  // The equi-join and the cross product raise the same error, and a
+  // relation with no rows no longer hides it; so does a HAVING with no
+  // groups.
+  ASSERT_OK(db_->CreateRelation("EMPTY", Schema({{"X", ValueType::kInt,
+                                                  false}}))
+                .status());
+  SqlExecutor executor(db_.get());
+  for (const char* sql :
+       {"SELECT s.Name FROM SUBMARINE s, CLASS c WHERE s.Id = c.Displacement",
+        "SELECT s.Name FROM SUBMARINE s, CLASS c WHERE s.Id < c.Displacement",
+        "SELECT s.Name FROM SUBMARINE s, EMPTY e WHERE s.Id < e.X",
+        "SELECT Type, COUNT(*) FROM CLASS WHERE Displacement < 0 "
+        "GROUP BY Type HAVING COUNT(*) > Type"}) {
+    Result<Relation> out = executor.ExecuteSql(sql);
+    ASSERT_FALSE(out.ok()) << sql;
+    EXPECT_EQ(out.status().code(), StatusCode::kTypeError) << sql;
+  }
+}
+
+TEST_F(BinderTest, LiteralLeftLikeIsNotAColumnCondition) {
+  // `'T%' LIKE Name` matches the constant against Name as the pattern;
+  // it has no column-first form.
+  ASSERT_OK_AND_ASSIGN(
+      BoundQuery q,
+      BindSql("SELECT Name FROM SUBMARINE WHERE 'T%' LIKE Name "
+              "AND Name LIKE 'T%'"));
+  ASSERT_EQ(q.conjuncts.size(), 2u);
+  EXPECT_EQ(q.conjuncts[0].kind, BoundConjunct::Kind::kOther);
+  EXPECT_EQ(q.conjuncts[1].kind, BoundConjunct::Kind::kCompare);
+  EXPECT_EQ(q.conjuncts[1].op, CompareOp::kLike);
+  EXPECT_EQ(q.conjuncts[1].constant, Value::String("T%"));
 }
 
 TEST_F(BinderTest, VirtualRelationsBindOneSnapshotPerName) {

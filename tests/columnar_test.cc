@@ -1,9 +1,8 @@
 // Unit coverage for the columnar storage layer (DESIGN.md §14): the
-// transpose round trip, zone-map contents, conjunct extraction, the
-// batch scan (filtering, pruning, first-error identity), the
-// epoch-keyed Database snapshot cache, and the columnar induction
-// path's byte-identity against the row reference on hand-built
-// relations. Labeled "columnar".
+// transpose round trip, zone-map contents, the batch scan (filtering and
+// pruning), the epoch-keyed Database snapshot cache, and the columnar
+// induction path's byte-identity against the row reference on
+// hand-built relations. Labeled "columnar".
 
 #include "relational/column_store.h"
 
@@ -131,149 +130,113 @@ TEST(ColumnarRelationTest, ColumnMinMaxMatchesActiveDomain) {
   EXPECT_EQ(via_cols.status().ToString(), via_rows.status().ToString());
 }
 
-// ---- conjunct extraction ---------------------------------------------
-
-TEST(ExtractColumnConditionsTest, TakesTheAndPrefixLeavesTheResidual) {
-  ColumnarRelation cols = ColumnarRelation::FromRelation(SmallRelation());
-  // K > 1 AND S = 'beta' AND (K < 4 OR K = 4): the OR stops extraction.
-  auto pred = MakeAnd(
-      MakeAnd(MakeCompare(CompareOp::kGt, MakeColumn(0),
-                          MakeConstant(Value::Int(1))),
-              MakeCompare(CompareOp::kEq, MakeColumn(1),
-                          MakeConstant(Value::String("beta")))),
-      MakeOr(MakeCompare(CompareOp::kLt, MakeColumn(0),
-                         MakeConstant(Value::Int(4))),
-             MakeCompare(CompareOp::kEq, MakeColumn(0),
-                         MakeConstant(Value::Int(4)))));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  ASSERT_EQ(split.conditions.size(), 2u);
-  EXPECT_EQ(split.conditions[0].column, 0u);
-  EXPECT_EQ(split.conditions[0].op, CompareOp::kGt);
-  EXPECT_EQ(split.conditions[0].constant, Value::Int(1));
-  EXPECT_FALSE(split.conditions[0].constant_first);
-  EXPECT_EQ(split.conditions[1].column, 1u);
-  ASSERT_NE(split.residual, nullptr);
-}
-
-TEST(ExtractColumnConditionsTest, MirrorsLiteralOnTheLeft) {
-  ColumnarRelation cols = ColumnarRelation::FromRelation(SmallRelation());
-  // 2 < K is K > 2 with the orientation remembered for error text.
-  auto pred = MakeCompare(CompareOp::kLt, MakeConstant(Value::Int(2)),
-                          MakeColumn(0));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  ASSERT_EQ(split.conditions.size(), 1u);
-  EXPECT_EQ(split.conditions[0].op, CompareOp::kGt);
-  EXPECT_TRUE(split.conditions[0].constant_first);
-  EXPECT_EQ(split.residual, nullptr);
-}
-
-TEST(ExtractColumnConditionsTest, DeclinesMixedColumnsAndBadIndexes) {
-  Relation rel("M", Schema({{"X", ValueType::kInt, false}}));
-  rel.AppendUnchecked(Tuple({Value::String("oops")}));
-  ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
-  auto pred = MakeCompare(CompareOp::kEq, MakeColumn(0),
-                          MakeConstant(Value::Int(1)));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  EXPECT_TRUE(split.conditions.empty());
-  ASSERT_NE(split.residual, nullptr);
-  auto out_of_range = MakeCompare(CompareOp::kEq, MakeColumn(9),
-                                  MakeConstant(Value::Int(1)));
-  EXPECT_TRUE(ExtractColumnConditions(out_of_range, cols).conditions.empty());
-}
-
 // ---- the batch scan --------------------------------------------------
 
-// Row-reference: evaluate `pred` over every row, first error wins.
-Result<std::vector<uint32_t>> RowScan(const Relation& rel,
-                                      const PredicatePtr& pred) {
+// Row reference: the rows for which every condition holds, by
+// ApplyCompare over the row relation.
+std::vector<uint32_t> RowScan(const Relation& rel,
+                              const std::vector<ColumnCondition>& conds) {
   std::vector<uint32_t> out;
   for (size_t r = 0; r < rel.size(); ++r) {
-    IQS_ASSIGN_OR_RETURN(bool keep, pred->Eval(rel.row(r)));
+    bool keep = true;
+    for (const ColumnCondition& c : conds) {
+      Result<bool> holds =
+          ApplyCompare(c.op, rel.row(r).at(c.column), c.constant);
+      EXPECT_TRUE(holds.ok()) << holds.status().ToString();
+      keep = keep && holds.ok() && *holds;
+    }
     if (keep) out.push_back(static_cast<uint32_t>(r));
   }
   return out;
 }
 
-void ExpectScanMatchesRows(const Relation& rel, const PredicatePtr& pred,
-                           ColumnarScanStats* stats = nullptr) {
+void ExpectScanMatchesRows(const Relation& rel,
+                           const std::vector<ColumnCondition>& conds) {
   ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  ColumnarScanStats local;
-  auto columnar = ColumnarScan(cols, split.conditions, split.residual.get(),
-                               stats != nullptr ? stats : &local);
-  auto rows = RowScan(rel, pred);
-  ASSERT_EQ(columnar.ok(), rows.ok()) << pred->ToString(nullptr);
-  if (rows.ok()) {
-    EXPECT_EQ(*columnar, *rows) << pred->ToString(nullptr);
-  } else {
-    EXPECT_EQ(columnar.status().ToString(), rows.status().ToString());
-  }
+  ColumnarScanStats stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> columnar,
+                       ColumnarScan(cols, conds, nullptr, &stats));
+  EXPECT_EQ(columnar, RowScan(rel, conds));
 }
 
 TEST(ColumnarScanTest, FiltersExactlyLikeRowEvaluation) {
   Relation rel = MultiBlockRelation(2 * kColumnarBlockRows + 77);
-  ExpectScanMatchesRows(
-      rel, MakeCompare(CompareOp::kEq, MakeColumn(1),
-                       MakeConstant(Value::String("green"))));
-  ExpectScanMatchesRows(
-      rel, MakeAnd(MakeCompare(CompareOp::kGe, MakeColumn(0),
-                               MakeConstant(Value::Int(1000))),
-                   MakeCompare(CompareOp::kLt, MakeColumn(2),
-                               MakeConstant(Value::Real(300.0)))));
-  // Null constant admits nothing, errors nothing.
-  ExpectScanMatchesRows(rel, MakeCompare(CompareOp::kEq, MakeColumn(0),
-                                         MakeConstant(Value::Null())));
+  ExpectScanMatchesRows(rel,
+                        {{1, CompareOp::kEq, Value::String("green")}});
+  ExpectScanMatchesRows(rel, {{0, CompareOp::kGe, Value::Int(1000)},
+                              {2, CompareOp::kLt, Value::Real(300.0)}});
+  // An integer constant against a REAL column compares numerically.
+  ExpectScanMatchesRows(rel, {{2, CompareOp::kNe, Value::Int(7)}});
+  // Null constant admits nothing.
+  ExpectScanMatchesRows(rel, {{0, CompareOp::kEq, Value::Null()}});
   // LIKE over a string column, with '%' and '_'.
   ExpectScanMatchesRows(rel,
-                        MakeCompare(CompareOp::kLike, MakeColumn(1),
-                                    MakeConstant(Value::String("gre_n"))));
+                        {{1, CompareOp::kLike, Value::String("gre_n")}});
+  // The residual runs over the survivors of the conditions.
+  ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
+  PredicatePtr residual = MakeCompare(CompareOp::kEq, MakeColumn(1),
+                                      MakeConstant(Value::String("blue")));
+  ColumnarScanStats stats;
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<uint32_t> hits,
+      ColumnarScan(cols, {{0, CompareOp::kLt, Value::Int(10)}},
+                   residual.get(), &stats));
+  EXPECT_EQ(hits, (std::vector<uint32_t>{2, 5, 8}));
 }
 
 TEST(ColumnarScanTest, ZoneMapsPruneDisjointBlocks) {
   Relation rel = MultiBlockRelation(4 * kColumnarBlockRows);
   ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
   // K is ascending, so a narrow band touches exactly one block.
-  auto pred = MakeAnd(
-      MakeCompare(CompareOp::kGe, MakeColumn(0),
-                  MakeConstant(Value::Int(10))),
-      MakeCompare(CompareOp::kLe, MakeColumn(0),
-                  MakeConstant(Value::Int(20))));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  ASSERT_EQ(split.conditions.size(), 2u);
   ColumnarScanStats stats;
   ASSERT_OK_AND_ASSIGN(
       std::vector<uint32_t> hits,
-      ColumnarScan(cols, split.conditions, split.residual.get(), &stats));
+      ColumnarScan(cols,
+                   {{0, CompareOp::kGe, Value::Int(10)},
+                    {0, CompareOp::kLe, Value::Int(20)}},
+                   nullptr, &stats));
   EXPECT_EQ(hits.size(), 11u);
   EXPECT_EQ(stats.blocks_total, 4u);
   EXPECT_EQ(stats.blocks_pruned, 3u);
   // An off-domain point prunes everything.
-  auto miss = MakeCompare(CompareOp::kEq, MakeColumn(0),
-                          MakeConstant(Value::Int(-5)));
-  split = ExtractColumnConditions(miss, cols);
   ColumnarScanStats none;
   ASSERT_OK_AND_ASSIGN(
-      hits, ColumnarScan(cols, split.conditions, nullptr, &none));
+      hits,
+      ColumnarScan(cols, {{0, CompareOp::kEq, Value::Int(-5)}}, nullptr,
+                   &none));
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(none.blocks_pruned, none.blocks_total);
 }
 
 TEST(ColumnarScanTest, FirstErrorMatchesRowOrderAndText) {
-  // S = 'x' AND K = DATE comparison: the date-vs-int conjunct errors on
-  // the first row that passes the prefix — same row, same text, as the
-  // row-at-a-time evaluation.
-  Relation rel = MultiBlockRelation(kColumnarBlockRows + 50);
+  // Values appended outside their declared type demote X to kMixed, so
+  // a residual over it can fail. The first failure in row order must
+  // reach the caller with ApplyCompare's text, though the blocks run in
+  // parallel and a later block fails differently.
+  Relation rel("M", Schema({{"K", ValueType::kInt, false},
+                            {"X", ValueType::kInt, false}}));
   ASSERT_OK_AND_ASSIGN(Date d, Date::FromString("2026-01-01"));
-  ExpectScanMatchesRows(
-      rel, MakeAnd(MakeCompare(CompareOp::kEq, MakeColumn(1),
-                               MakeConstant(Value::String("red"))),
-                   MakeCompare(CompareOp::kLt, MakeColumn(0),
-                               MakeConstant(Value::OfDate(d)))));
-  // Literal-first orientation must keep the row path's operand order in
-  // the message ("cannot compare date with int", not the mirror).
-  ExpectScanMatchesRows(
-      rel, MakeCompare(CompareOp::kLt, MakeConstant(Value::OfDate(d)),
-                       MakeColumn(0)));
+  for (int64_t i = 0; i < static_cast<int64_t>(3 * kColumnarBlockRows);
+       ++i) {
+    Value x = i == 1500   ? Value::OfDate(d)
+              : i == 2600 ? Value::String("oops")
+                          : Value::Int(i);
+    rel.AppendUnchecked(Tuple({Value::Int(i), std::move(x)}));
+  }
+  ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
+  ASSERT_EQ(cols.column(1).storage(), Column::Storage::kMixed);
+  PredicatePtr residual = MakeCompare(CompareOp::kGt, MakeColumn(1),
+                                      MakeConstant(Value::Int(5)));
+  ColumnarScanStats stats;
+  auto scan = ColumnarScan(cols, {{0, CompareOp::kGe, Value::Int(1000)}},
+                           residual.get(), &stats);
+  Status expected = Status::Ok();
+  for (size_t r = 1000; r < rel.size() && expected.ok(); ++r) {
+    expected = residual->Eval(rel.row(r)).status();
+  }
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().ToString(), expected.ToString());
+  EXPECT_EQ(expected.message(), "cannot compare date with integer");
 }
 
 // ---- the Database snapshot cache -------------------------------------
@@ -293,6 +256,17 @@ TEST(ColumnarSnapshotTest, CachesPerEpochAndRetiresOnMutation) {
   // The old snapshot is still valid for readers that hold it.
   EXPECT_EQ(first->row_count(), 4u);
   EXPECT_FALSE(db.ColumnarSnapshot("NO_SUCH").ok());
+}
+
+TEST(ColumnarSnapshotTest, DropFreesTheCachedSnapshot) {
+  Database db;
+  ASSERT_OK(db.AddRelation(SmallRelation()));
+  ASSERT_OK_AND_ASSIGN(auto held, db.ColumnarSnapshot("R"));
+  EXPECT_EQ(held.use_count(), 2);  // the reader and the cache
+  ASSERT_OK(db.Drop("R"));
+  EXPECT_EQ(held.use_count(), 1);  // the reader alone
+  EXPECT_EQ(held->row_count(), 4u);
+  EXPECT_FALSE(db.ColumnarSnapshot("R").ok());
 }
 
 // ---- columnar induction ----------------------------------------------
@@ -376,9 +350,8 @@ TEST(ColumnarInductionTest, RepresentativeSpellingsMatchTheRowPath) {
   ExpectInductionIdentical(rel, "Y", "X", config);
 }
 
-TEST(ColumnarInductionTest, DispatchHonorsTheProcessToggle) {
-  // InduceSchemeWithStats must give the same answer either way; this
-  // also exercises the FromRelation-on-the-fly dispatch arm.
+TEST(ColumnarInductionTest, EntryPointTransposesAndMatchesTheRowReference) {
+  // InduceSchemeWithStats transposes a row relation on the fly.
   Relation toy = MakeRelation("TOY",
                               Schema({{"X", ValueType::kInt, false},
                                       {"Y", ValueType::kString, false}}),
@@ -386,9 +359,7 @@ TEST(ColumnarInductionTest, DispatchHonorsTheProcessToggle) {
   InductionConfig config;
   config.prune = false;
   InductionStats stats;
-  SetColumnarEnabled(false);
-  auto rows = InduceSchemeWithStats(toy, "X", "Y", config, &stats);
-  SetColumnarEnabled(true);
+  auto rows = InduceSchemeRowsWithStats(toy, "X", "Y", config, &stats);
   auto cols = InduceSchemeWithStats(toy, "X", "Y", config, &stats);
   ASSERT_OK(rows.status());
   ASSERT_OK(cols.status());

@@ -9,10 +9,13 @@
 
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
+#include "fault/failpoint.h"
 #include "gtest/gtest.h"
 #include "induction/ils.h"
 #include "inference/engine.h"
 #include "obs/metrics.h"
+#include "relational/algebra.h"
+#include "relational/column_store.h"
 #include "sql/sql_executor.h"
 #include "tests/test_util.h"
 
@@ -114,9 +117,10 @@ TEST_F(ParallelExecTest, InducedRuleBaseIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelExecTest, SelectionMatchesSerialOnLargeInput) {
-  // 5000 rows through the executor's partitioned WHERE filter: row order
-  // must be the serial scan order (concatenation merge in chunk order).
-  // The OR keeps the columnar scan out, so the row filter runs.
+  // 5000 joined rows through the executor's partitioned WHERE filter:
+  // row order must be the serial filter order (concatenation merge in
+  // chunk order). A two-entry FROM keeps the full WHERE out of the scan,
+  // so the filter runs over the cross product.
   Database db;
   ASSERT_OK_AND_ASSIGN(
       Relation * rel,
@@ -124,17 +128,56 @@ TEST_F(ParallelExecTest, SelectionMatchesSerialOnLargeInput) {
   for (int i = 0; i < 5000; ++i) {
     ASSERT_OK(rel->Insert(Tuple{Value::Int(i * 7 % 5000)}));
   }
+  ASSERT_OK_AND_ASSIGN(
+      Relation * one,
+      db.CreateRelation("ONE", Schema({{"U", ValueType::kInt, true}})));
+  ASSERT_OK(one->Insert(Tuple{Value::Int(1)}));
   SqlExecutor executor(&db);
-  const std::string sql = "SELECT N FROM NUMBERS WHERE N < 1000 OR N > 4500";
+  const std::string sql =
+      "SELECT N FROM NUMBERS, ONE WHERE N < 1000 OR N > 4500";
   exec::SetGlobalThreadCount(1);
   ASSERT_OK_AND_ASSIGN(Relation serial, executor.ExecuteSql(sql));
-  EXPECT_EQ(executor.last_stats().columnar_tables, 0u);
+  EXPECT_EQ(executor.last_stats().columnar_tables, 2u);
+  EXPECT_EQ(executor.last_stats().base_rows_loaded, 5001u);
   EXPECT_EQ(serial.size(), 1499u);
   for (size_t threads : {2, 8}) {
     exec::SetGlobalThreadCount(threads);
     ASSERT_OK_AND_ASSIGN(Relation parallel, executor.ExecuteSql(sql));
     ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
     EXPECT_EQ(parallel.ToTable(), serial.ToTable()) << "threads=" << threads;
+  }
+}
+
+TEST_F(ParallelExecTest, ColumnarScanFansOutOnlyWhenBlocksPayForIt) {
+  // Without a residual the scan stays on the caller below 64 blocks, so
+  // a restriction over a few thousand rows wakes no worker; a residual,
+  // or 64 blocks, fans out. Either way the row ids are the serial scan's.
+  fault::Site* dispatch =
+      fault::FailpointRegistry::Global().GetSite("exec.dispatch");
+  const std::vector<ColumnCondition> conditions = {
+      {0, CompareOp::kLt, Value::Int(10)}};
+  PredicatePtr residual = MakeCompare(CompareOp::kNe, MakeColumn(0),
+                                      MakeConstant(Value::Int(3)));
+  for (size_t blocks : {63, 64}) {
+    Relation rel("N", Schema({{"K", ValueType::kInt, false}}));
+    for (size_t i = 0; i < blocks * kColumnarBlockRows; ++i) {
+      rel.AppendUnchecked(Tuple{Value::Int(static_cast<int64_t>(i % 1000))});
+    }
+    ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
+    const std::vector<const Predicate*> residuals = {nullptr, residual.get()};
+    for (const Predicate* rest : residuals) {
+      exec::SetGlobalThreadCount(1);
+      ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> serial,
+                           ColumnarScan(cols, conditions, rest, nullptr));
+      exec::SetGlobalThreadCount(4);
+      const uint64_t before = dispatch->hits();
+      ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> parallel,
+                           ColumnarScan(cols, conditions, rest, nullptr));
+      EXPECT_EQ(parallel, serial);
+      const bool fans_out = rest != nullptr || blocks == 64;
+      EXPECT_EQ(dispatch->hits() - before, fans_out ? 1u : 0u)
+          << blocks << " blocks, residual " << (rest != nullptr);
+    }
   }
 }
 

@@ -182,17 +182,5 @@ TEST(LikeMatchTest, AppliesToRenderedNonStringValues) {
   EXPECT_FALSE(null_like);
 }
 
-TEST(PredicateTest, MakeColumnCompareResolvesName) {
-  Schema schema({{"A", ValueType::kInt, false},
-                 {"B", ValueType::kInt, false}});
-  ASSERT_OK_AND_ASSIGN(
-      PredicatePtr p,
-      MakeColumnCompare(schema, "b", CompareOp::kEq, Value::Int(2)));
-  ASSERT_OK_AND_ASSIGN(bool v, p->Eval(Tuple({Value::Int(1), Value::Int(2)})));
-  EXPECT_TRUE(v);
-  EXPECT_FALSE(
-      MakeColumnCompare(schema, "C", CompareOp::kEq, Value::Int(0)).ok());
-}
-
 }  // namespace
 }  // namespace iqs

@@ -307,6 +307,18 @@ TEST_F(QuelTest, UnknownQualificationAttributeFailsAtBind) {
   EXPECT_EQ(del.status().code(), StatusCode::kNotFound);
 }
 
+// A join of incomparable attributes fails at bind with ApplyCompare's
+// text, like the same compare in a cross product, whatever the rows.
+TEST_F(QuelTest, JoinOfIncomparableAttributesIsATypeError) {
+  Run("range of s is SUBMARINE");
+  Run("range of c is CLASS");
+  auto retrieve =
+      session_->ExecuteText("retrieve (s.Name) where s.Id = c.Displacement");
+  ASSERT_FALSE(retrieve.ok());
+  EXPECT_EQ(retrieve.status().code(), StatusCode::kTypeError);
+  EXPECT_EQ(retrieve.status().message(), "cannot compare string with integer");
+}
+
 // QUEL statements run through the SQL executor: its counters see them
 // and its exec.scan failpoint stops them.
 TEST_F(QuelTest, StatementsRunThroughTheSqlExecutor) {

@@ -106,21 +106,6 @@ TEST(RuleSetTest, AddKeepsExplicitIds) {
   EXPECT_EQ(set.rule(1).id, 10);
 }
 
-TEST(RuleSetTest, Lookups) {
-  RuleSet set;
-  set.Add(MakeR9());
-  Rule other;
-  other.lhs.push_back(Clause::Equals("Class", Value::String("0101")));
-  other.rhs.clause = Clause::Equals("Type", Value::String("SSBN"));
-  set.Add(other);
-
-  EXPECT_EQ(set.WithRhsType("ssbn").size(), 1u);  // only R9 has the reading
-  EXPECT_EQ(set.WithRhsAttribute("Type").size(), 2u);
-  EXPECT_EQ(set.WithLhsAttribute("Displacement").size(), 1u);
-  EXPECT_EQ(set.WithLhsAttribute("Class").size(), 1u);
-  EXPECT_TRUE(set.WithRhsType("BQS").empty());
-}
-
 TEST(RuleSetTest, PruneAndRenumber) {
   RuleSet set;
   Rule low = MakeR9();
