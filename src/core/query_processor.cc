@@ -1,5 +1,6 @@
 #include "core/query_processor.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "exec/exec_context.h"
@@ -470,14 +471,10 @@ Result<QueryResult> IntensionalQueryProcessor::ProcessImpl(
       ++result.stats.backward_statements;
       if (s.exact && best_backward == nullptr) best_backward = &s;
     }
-    for (int id : s.rule_ids) {
-      bool seen = false;
-      for (int existing : fired) {
-        if (existing == id) seen = true;
-      }
-      if (!seen) fired.push_back(id);
-    }
+    fired.insert(fired.end(), s.rule_ids.begin(), s.rule_ids.end());
   }
+  std::sort(fired.begin(), fired.end());
+  fired.erase(std::unique(fired.begin(), fired.end()), fired.end());
   result.stats.rules_fired = fired.size();
   IQS_COUNTER_ADD("query.rules_fired", fired.size());
 

@@ -81,12 +81,9 @@ std::vector<ImpliedCondition> SemanticOptimizer::Derive(
     // Group matching rules by scheme: each scheme contributes one
     // implied condition over its own X attribute.
     std::map<std::string, ImpliedCondition> by_scheme;
-    for (const Rule& rule : rules.rules()) {
+    for (size_t position : rules.WithRhsOn(condition.attribute())) {
+      const Rule& rule = rules.rule(position);
       if (rule.lhs.size() != 1) continue;
-      if (!SameAttribute(rule.rhs.clause.attribute(), condition.attribute(),
-                         AttributeMatch::kBaseName)) {
-        continue;
-      }
       if (!rule.rhs.clause.IsPoint() ||
           *rule.rhs.clause.interval().lo() != y) {
         continue;
@@ -213,7 +210,8 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
       bool complete = true;
     };
     std::map<std::string, Family> families;
-    for (const Rule& rule : rules.rules()) {
+    for (size_t position : rules.WithRhsOn(seed.attribute)) {
+      const Rule& rule = rules.rule(position);
       if (rule.lhs.size() != 1) continue;
       if (!EqualsIgnoreCase(rule.source_relation, owner.name)) continue;
       std::string rhs_qual = rule.rhs.clause.Qualifier();
@@ -222,10 +220,6 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
         continue;
       }
       if (!lhs_qual.empty() && !EqualsIgnoreCase(lhs_qual, owner.name)) {
-        continue;
-      }
-      if (!SameAttribute(rule.rhs.clause.attribute(), seed.attribute,
-                         AttributeMatch::kBaseName)) {
         continue;
       }
       if (!rule.rhs.clause.IsPoint() ||

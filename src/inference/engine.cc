@@ -1,9 +1,10 @@
 #include "inference/engine.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/string_util.h"
-#include "exec/parallel.h"
+#include "exec/exec_context.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -105,8 +106,20 @@ Result<std::vector<Fact>> InferenceEngine::Forward(
 
   const std::vector<AttributeDomain>& domains =
       dictionary_->active_domains();
+  const std::vector<Rule>& all_rules = rules.rules();
+  // Every range fact known at the start of the round, clipped to its
+  // attribute's active domain once (facts are only ever appended).
+  std::vector<Clause> known;
+  // Semi-naive rounds: a rule is tested only while unmatched, and only in
+  // a round after one of its LHS attributes gained a range fact. Facts
+  // only grow, so a rule that matched stays matched, and one whose LHS
+  // attributes gained nothing cannot newly match.
+  std::vector<char> matched(all_rules.size(), 0);
+  std::vector<size_t> candidates;
+  size_t clipped = 0;  // facts[0, clipped) are in `known`
   bool changed = true;
   int iterations = 0;
+  uint64_t considered = 0;
   uint64_t skipped_firings = 0;
   std::string skip_reason;
   while (changed) {
@@ -118,34 +131,38 @@ Result<std::vector<Fact>> InferenceEngine::Forward(
     // extensional-only rather than failing the query.
     IQS_GOV_CHECKPOINT("infer.fire");
     changed = false;
-    // Known range clauses: every range fact (query conditions included).
-    std::vector<Clause> known;
-    for (const Fact& f : facts) {
-      if (f.kind == Fact::Kind::kRange) known.push_back(f.clause);
+    candidates.clear();
+    for (; clipped < facts.size(); ++clipped) {
+      if (facts[clipped].kind != Fact::Kind::kRange) continue;
+      const Clause& clause = facts[clipped].clause;
+      const AttributeDomain* domain = FindDomain(domains, clause.attribute());
+      known.push_back(domain == nullptr
+                          ? clause
+                          : Clause(clause.attribute(),
+                                   clause.interval().ClipTo(domain->lo,
+                                                            domain->hi)));
+      for (size_t position : rules.WithLhsOn(clause.attribute())) {
+        if (!matched[position]) candidates.push_back(position);
+      }
     }
-    // Parallel match phase: subsumption tests read only the `known`
-    // snapshot and the active domains, so each rule's verdict lands in
-    // its own slot. The fire phase below stays serial in rule order —
-    // fact insertion order (and thus the derivation) is deterministic and
-    // identical to the serial loop, whose matching could not see facts
-    // added within the same iteration either.
-    const std::vector<Rule>& all_rules = rules.rules();
-    std::vector<char> matched(all_rules.size(), 0);
-    exec::ParallelFor(
-        "exec.infer.match", all_rules.size(), 32,
-        [&all_rules, &matched, &known, &domains](size_t i) {
-          const Rule& rule = all_rules[i];
-          matched[i] = !rule.lhs.empty() &&
-                       LhsSubsumesConditions(rule, known, domains,
-                                             AttributeMatch::kBaseName);
-        });
-    for (size_t i = 0; i < all_rules.size(); ++i) {
-      if ((i & 63) == 0) IQS_GOV_CHECKPOINT("infer.match");
-      if (!matched[i]) continue;
-      const Rule& rule = all_rules[i];
+    // Rule order, so facts are derived in the same order as a full pass
+    // over the rules would derive them.
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    considered += candidates.size();
+    // Matching reads only `known`, the facts at the start of the round;
+    // firing appends to `facts`, which the next round picks up.
+    for (size_t k = 0; k < candidates.size(); ++k) {
+      if ((k & 63) == 0) IQS_GOV_CHECKPOINT("infer.match");
+      const Rule& rule = all_rules[candidates[k]];
+      if (!LhsSubsumesConditions(rule, known, {}, AttributeMatch::kBaseName)) {
+        continue;
+      }
+      matched[candidates[k]] = 1;
       // Skip-and-log: a faulting rule firing is dropped, the rest of the
-      // fixpoint continues. Checked in this serial loop (not the parallel
-      // match phase) so the skip sequence is deterministic.
+      // fixpoint continues. The rule has matched, so no later round
+      // retries it.
       if (Status fp = fault::Hit("infer.match"); !fp.ok()) {
         ++skipped_firings;
         skip_reason = fp.message();
@@ -171,6 +188,7 @@ Result<std::vector<Fact>> InferenceEngine::Forward(
   IQS_COUNTER_ADD("infer.forward.iterations", iterations);
   IQS_SPAN_ANNOTATE("facts", static_cast<int64_t>(facts.size()));
   IQS_SPAN_ANNOTATE("iterations", static_cast<int64_t>(iterations));
+  IQS_SPAN_ANNOTATE("rules_considered", static_cast<int64_t>(considered));
   if (skipped_firings > 0) {
     fault::DegradationEvent event{
         "rule-match", fault::DegradeAction::kSkipRule,
@@ -184,21 +202,41 @@ Result<std::vector<Fact>> InferenceEngine::Forward(
 
 namespace {
 
-// Does the rule's consequent guarantee `target`?
-bool RhsImplies(const Rule& rule, const Fact& target,
-                const TypeHierarchy& hierarchy) {
+// Positions, in rule order, of the rules whose consequent guarantees
+// `target`: for a type target, those concluding the target type or one of
+// its subtypes (one hierarchy test per distinct isa type); for a range
+// target, those whose RHS interval over the same attribute lies inside
+// the target's.
+std::vector<size_t> RulesImplying(const RuleSet& rules, const Fact& target,
+                                  const TypeHierarchy& hierarchy) {
+  std::vector<size_t> out;
   if (target.kind == Fact::Kind::kType) {
-    if (!rule.rhs.HasIsaReading()) return false;
     // Role letters are context-local; membership in the same hierarchy
     // (enforced by the subtype test) identifies the role.
-    return hierarchy.IsAOrSubtypeOf(rule.rhs.isa_type, target.type_name);
+    for (const auto& [isa_type, positions] : rules.by_isa_type()) {
+      if (hierarchy.IsAOrSubtypeOf(isa_type, target.type_name)) {
+        out.insert(out.end(), positions.begin(), positions.end());
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
   }
-  if (!SameAttribute(rule.rhs.clause.attribute(), target.clause.attribute(),
-                     AttributeMatch::kBaseName)) {
-    return false;
+  for (size_t position : rules.WithRhsOn(target.clause.attribute())) {
+    if (target.clause.interval().ContainsInterval(
+            rules.rule(position).rhs.clause.interval())) {
+      out.push_back(position);
+    }
   }
-  return target.clause.interval().ContainsInterval(
-      rule.rhs.clause.interval());
+  return out;
+}
+
+// Which of two targets a rule's backward statement should cite: an exact
+// target first, then a type fact (more informative than the equivalent
+// range fact); on a tie the earlier target stays.
+bool BetterTarget(const Fact& a, bool a_exact, const Fact& b, bool b_exact) {
+  if (a_exact != b_exact) return a_exact;
+  if (a.kind != b.kind) return a.kind == Fact::Kind::kType;
+  return false;
 }
 
 }  // namespace
@@ -221,24 +259,47 @@ Result<std::vector<IntensionalStatement>> InferenceEngine::Backward(
   // restriction condition.
   bool single_condition = query.conditions.size() == 1;
 
-  std::vector<IntensionalStatement> out;
-  for (const Fact& target : targets) {
+  // The same rule often implies several targets (a type fact and its
+  // derivation range fact); each rule keeps the one target it cites.
+  constexpr size_t kNoTarget = static_cast<size_t>(-1);
+  std::vector<size_t> cited(rules.size(), kNoTarget);
+  std::vector<char> exact(targets.size(), 0);
+  std::vector<size_t> order;  // rule positions, first occurrence first
+  uint64_t firings = 0;
+  for (size_t t = 0; t < targets.size(); ++t) {
     IQS_GOV_CHECKPOINT("infer.match");
-    for (const Rule& rule : rules.rules()) {
-      if (rule.lhs.empty()) continue;
-      if (!RhsImplies(rule, target, hierarchy)) continue;
-      IntensionalStatement statement;
-      statement.direction = AnswerDirection::kContainedIn;
-      for (const Clause& c : rule.lhs) {
-        statement.facts.push_back(Fact::Range(c, {rule.id}));
+    exact[t] = single_condition && is_seed(targets[t]);
+    for (size_t position : RulesImplying(rules, targets[t], hierarchy)) {
+      if (rules.rule(position).lhs.empty()) continue;
+      ++firings;
+      size_t& slot = cited[position];
+      if (slot == kNoTarget) {
+        slot = t;
+        order.push_back(position);
+      } else if (BetterTarget(targets[t], exact[t], targets[slot],
+                              exact[slot])) {
+        slot = t;
       }
-      statement.rule_ids = {rule.id};
-      statement.target = target;
-      statement.exact = single_condition && is_seed(target);
-      out.push_back(std::move(statement));
-      IQS_COUNTER_INC("infer.backward.firings");
     }
   }
+
+  std::vector<IntensionalStatement> out;
+  out.reserve(order.size());
+  for (size_t position : order) {
+    const Rule& rule = rules.rule(position);
+    IntensionalStatement& statement = out.emplace_back();
+    statement.direction = AnswerDirection::kContainedIn;
+    statement.facts.reserve(rule.lhs.size());
+    for (const Clause& c : rule.lhs) {
+      statement.facts.push_back(Fact::Range(c, {rule.id}));
+    }
+    statement.rule_ids = {rule.id};
+    statement.target = targets[cited[position]];
+    statement.exact = exact[cited[position]];
+  }
+  IQS_COUNTER_ADD("infer.backward.firings", firings);
+  IQS_COUNTER_ADD("infer.backward.subsumption_eliminated",
+                  firings - out.size());
   IQS_SPAN_ANNOTATE("statements", static_cast<int64_t>(out.size()));
   return out;
 }
@@ -337,35 +398,8 @@ Result<IntensionalAnswer> InferenceEngine::InferWith(
     }
     IQS_ASSIGN_OR_RETURN(std::vector<IntensionalStatement> statements,
                          Backward(query, targets, rules));
-    // The same rule often matches several targets (a type fact and its
-    // derivation range fact); keep one statement per rule, preferring an
-    // exact target, then a type-fact target (more informative than the
-    // equivalent range fact).
-    std::vector<IntensionalStatement> deduped;
-    auto better_target = [](const IntensionalStatement& a,
-                            const IntensionalStatement& b) {
-      if (a.exact != b.exact) return a.exact;
-      if (a.target.kind != b.target.kind) {
-        return a.target.kind == Fact::Kind::kType;
-      }
-      return false;
-    };
+    answer.Reserve(answer.size() + statements.size());
     for (IntensionalStatement& s : statements) {
-      bool replaced = false;
-      for (IntensionalStatement& existing : deduped) {
-        if (existing.rule_ids == s.rule_ids) {
-          if (better_target(s, existing)) existing = std::move(s);
-          replaced = true;
-          break;
-        }
-      }
-      if (replaced) {
-        IQS_COUNTER_INC("infer.backward.subsumption_eliminated");
-      } else {
-        deduped.push_back(std::move(s));
-      }
-    }
-    for (IntensionalStatement& s : deduped) {
       answer.Add(std::move(s));
     }
   }

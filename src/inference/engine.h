@@ -44,18 +44,24 @@ class InferenceEngine {
   // Forward inference to fixpoint. Returns every fact holding for each
   // tuple of the answer: the seeded query conditions, rule consequents
   // whose LHS subsumes known facts (after active-domain clipping), the
-  // supertype closure, and derivation expansions of type facts. A rule
+  // supertype closure, and derivation expansions of type facts. Rounds
+  // are semi-naive: each tests only the not yet matched rules that the
+  // rule set indexes under an attribute which gained a range fact in the
+  // previous round, and fires the ones that match in rule order. A rule
   // whose firing faults (the "infer.match" failpoint) is skipped and
-  // logged; when `degradations` is non-null one summary event per run is
-  // appended for the skipped rules.
+  // logged, and not retried in a later round; when `degradations` is
+  // non-null one summary event per run is appended for the skipped rules.
   Result<std::vector<Fact>> Forward(
       const QueryDescription& query, const RuleSet& rules,
       std::vector<fault::DegradationEvent>* degradations = nullptr) const;
 
   // Backward inference: for each fact in `targets`, finds rules whose RHS
-  // implies the fact and emits their LHS as a contained-in description.
-  // Statements are exact when the target was seeded from the single query
-  // condition; approximate otherwise.
+  // implies the fact and emits their LHS as a contained-in description,
+  // one statement per rule, in order of the first target each rule
+  // implies. A rule implying several targets cites an exact one first,
+  // then a type fact, then the earliest. Statements are exact when the
+  // target was seeded from the single query condition; approximate
+  // otherwise.
   Result<std::vector<IntensionalStatement>> Backward(
       const QueryDescription& query, const std::vector<Fact>& targets,
       const RuleSet& rules) const;

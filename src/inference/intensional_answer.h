@@ -48,6 +48,7 @@ class IntensionalAnswer {
   void Add(IntensionalStatement statement) {
     statements_.push_back(std::move(statement));
   }
+  void Reserve(size_t statements) { statements_.reserve(statements); }
 
   bool empty() const { return statements_.empty(); }
   size_t size() const { return statements_.size(); }

@@ -2,7 +2,29 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
+
 namespace iqs {
+
+namespace {
+
+// The lower-cased base name of an attribute ("sonar" for "y.Sonar",
+// "INSTALL.Sonar" and "sonar"). Two attributes have the same key exactly
+// when they match under AttributeMatch::kBaseName (rules/subsumption.h).
+std::string BaseAttributeKey(std::string_view attribute) {
+  size_t pos = attribute.rfind('.');
+  return ToLower(pos == std::string_view::npos ? attribute
+                                               : attribute.substr(pos + 1));
+}
+
+const RuleSet::Positions& Lookup(const RuleSet::PositionIndex& index,
+                                 std::string_view attribute) {
+  static const RuleSet::Positions* const kNone = new RuleSet::Positions();
+  auto it = index.find(BaseAttributeKey(attribute));
+  return it == index.end() ? *kNone : it->second;
+}
+
+}  // namespace
 
 std::string Consequent::ToString() const {
   if (HasIsaReading()) {
@@ -34,6 +56,28 @@ void RuleSet::Add(Rule rule) {
   }
   next_id_ = std::max(next_id_, rule.id + 1);
   rules_.push_back(std::move(rule));
+  Index(rules_.size() - 1);
+}
+
+void RuleSet::Index(size_t position) {
+  const Rule& rule = rules_[position];
+  for (const Clause& clause : rule.lhs) {
+    Positions& list = by_lhs_[BaseAttributeKey(clause.attribute())];
+    // Two LHS clauses over one attribute list the rule once.
+    if (list.empty() || list.back() != position) list.push_back(position);
+  }
+  by_rhs_[BaseAttributeKey(rule.rhs.clause.attribute())].push_back(position);
+  if (rule.rhs.HasIsaReading()) {
+    by_isa_type_[rule.rhs.isa_type].push_back(position);
+  }
+}
+
+const RuleSet::Positions& RuleSet::WithLhsOn(std::string_view attribute) const {
+  return Lookup(by_lhs_, attribute);
+}
+
+const RuleSet::Positions& RuleSet::WithRhsOn(std::string_view attribute) const {
+  return Lookup(by_rhs_, attribute);
 }
 
 void RuleSet::AddAll(std::vector<Rule> rules) {
@@ -47,6 +91,10 @@ size_t RuleSet::Prune(int64_t min_support) {
                                 return r.support < min_support;
                               }),
                rules_.end());
+  by_lhs_.clear();
+  by_rhs_.clear();
+  by_isa_type_.clear();
+  for (size_t i = 0; i < rules_.size(); ++i) Index(i);
   return before - rules_.size();
 }
 

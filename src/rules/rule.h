@@ -2,6 +2,8 @@
 #define IQS_RULES_RULE_H_
 
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "rules/clause.h"
@@ -52,10 +54,15 @@ struct Rule {
   friend bool operator==(const Rule&, const Rule&) = default;
 };
 
-// An ordered collection of rules with stable ids and lookup by the parts
-// inference needs.
+// An ordered collection of rules with stable ids, indexed by the parts
+// inference needs. The index lives inside the set, so every copy of a
+// rule base carries it: `Add` extends it and `Prune` rebuilds it. Each
+// lookup returns rule positions (indices into rules()) in rule order.
 class RuleSet {
  public:
+  using Positions = std::vector<size_t>;
+  using PositionIndex = std::unordered_map<std::string, Positions>;
+
   RuleSet() = default;
 
   // Appends, assigning the next id (1-based) unless the rule already has a
@@ -68,6 +75,16 @@ class RuleSet {
   const Rule& rule(size_t i) const { return rules_[i]; }
   const std::vector<Rule>& rules() const { return rules_; }
 
+  // Rules with an LHS clause over `attribute`. Attributes compare by base
+  // name, case-insensitively, as under AttributeMatch::kBaseName:
+  // "y.Sonar", "INSTALL.Sonar" and "sonar" share one list.
+  const Positions& WithLhsOn(std::string_view attribute) const;
+  // Rules whose RHS clause is over `attribute`, compared the same way.
+  const Positions& WithRhsOn(std::string_view attribute) const;
+  // Rules with an isa reading, keyed by the isa type as spelled in the
+  // consequent.
+  const PositionIndex& by_isa_type() const { return by_isa_type_; }
+
   // Drops rules with support < min_support; returns how many were removed.
   size_t Prune(int64_t min_support);
 
@@ -77,8 +94,14 @@ class RuleSet {
   std::string ToString() const;
 
  private:
+  // Enters rules_[position] into the three lookup tables.
+  void Index(size_t position);
+
   std::vector<Rule> rules_;
   int next_id_ = 1;
+  PositionIndex by_lhs_;  // lower-cased base name of each LHS clause
+  PositionIndex by_rhs_;  // lower-cased base name of the RHS clause
+  PositionIndex by_isa_type_;
 };
 
 }  // namespace iqs

@@ -1,14 +1,16 @@
 #include "rules/subsumption.h"
 
+#include <string_view>
+
 #include "common/string_util.h"
 
 namespace iqs {
 
 namespace {
 
-std::string BaseName(const std::string& attribute) {
+std::string_view BaseName(std::string_view attribute) {
   size_t pos = attribute.rfind('.');
-  return pos == std::string::npos ? attribute : attribute.substr(pos + 1);
+  return pos == std::string_view::npos ? attribute : attribute.substr(pos + 1);
 }
 
 bool IsQualified(const std::string& attribute) {
@@ -19,7 +21,7 @@ bool IsQualified(const std::string& attribute) {
 
 bool SameAttribute(const std::string& a, const std::string& b,
                    AttributeMatch match) {
-  if (EqualsIgnoreCase(a, b)) return true;
+  if (a == b || EqualsIgnoreCase(a, b)) return true;
   if (match == AttributeMatch::kBaseName) {
     return EqualsIgnoreCase(BaseName(a), BaseName(b));
   }
@@ -61,11 +63,10 @@ bool LhsSubsumesConditions(const Rule& rule,
       }
       const AttributeDomain* domain =
           FindDomain(active_domains, cond.attribute());
-      Interval cond_interval = cond.interval();
-      if (domain != nullptr) {
-        cond_interval = cond_interval.ClipTo(domain->lo, domain->hi);
-      }
-      if (lhs_clause.interval().ContainsInterval(cond_interval)) {
+      if (domain == nullptr
+              ? lhs_clause.interval().ContainsInterval(cond.interval())
+              : lhs_clause.interval().ContainsInterval(
+                    cond.interval().ClipTo(domain->lo, domain->hi))) {
         matched = true;
         break;
       }

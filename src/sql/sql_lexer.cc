@@ -49,8 +49,16 @@ Result<std::vector<SqlToken>> LexSql(const std::string& input) {
       out.push_back({SqlTokenKind::kString, std::move(text), pos});
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    // Numbers, optionally negative: the grammar has no binary minus, so a
+    // '-' before a digit can only start a literal ("--" is a comment).
+    bool neg_number = c == '-' && i + 1 < input.size() &&
+                      std::isdigit(static_cast<unsigned char>(input[i + 1]));
+    if (std::isdigit(static_cast<unsigned char>(c)) || neg_number) {
       std::string text;
+      if (neg_number) {
+        text += '-';
+        ++i;
+      }
       bool is_real = false;
       while (i < input.size()) {
         char d = input[i];

@@ -74,6 +74,38 @@ TEST_F(QuelTest, ParserErrors) {
       ParseQuelStatement("range of r is T trailing garbage").ok());
 }
 
+TEST_F(QuelTest, NegativeNumericLiterals) {
+  ASSERT_OK_AND_ASSIGN(QuelStatement eq,
+                       ParseQuelStatement("retrieve (r.K) where r.K = -3"));
+  EXPECT_EQ(eq.retrieve.where->rhs.literal, Value::Int(-3));
+
+  ASSERT_OK_AND_ASSIGN(
+      QuelStatement band,
+      ParseQuelStatement("retrieve (r.K) where r.K >= -5 and r.K <= -1"));
+  EXPECT_EQ(band.retrieve.where->left->rhs.literal, Value::Int(-5));
+  EXPECT_EQ(band.retrieve.where->right->rhs.literal, Value::Int(-1));
+
+  ASSERT_OK_AND_ASSIGN(QuelStatement real,
+                       ParseQuelStatement("retrieve (r.D) where r.D > -2.5"));
+  EXPECT_EQ(real.retrieve.where->op, CompareOp::kGt);
+  EXPECT_EQ(real.retrieve.where->rhs.literal, Value::Real(-2.5));
+
+  // "--" still starts a comment, digits or not.
+  ASSERT_OK_AND_ASSIGN(QuelStatement comment,
+                       ParseQuelStatement("retrieve (r.K) where r.K = 1 --3"));
+  EXPECT_EQ(comment.retrieve.where->rhs.literal, Value::Int(1));
+
+  ASSERT_OK_AND_ASSIGN(QuelStatement append,
+                       ParseQuelStatement("append to S (K = -7)"));
+  ASSERT_EQ(append.append.values.size(), 1u);
+  EXPECT_EQ(append.append.values[0], Value::Int(-7));
+
+  // A negative bound runs end to end: no class displaces less than zero.
+  Run("range of c is CLASS");
+  EXPECT_EQ(Run("retrieve (c.Class) where c.Displacement > -1").size(), 13u);
+  EXPECT_EQ(Run("retrieve (c.Class) where c.Displacement < -1").size(), 0u);
+}
+
 TEST_F(QuelTest, RangeRequiresRelation) {
   EXPECT_FALSE(session_->ExecuteText("range of r is NOPE").ok());
   EXPECT_OK(session_->ExecuteText("range of r is SUBMARINE").status());

@@ -119,6 +119,73 @@ TEST(RuleSetTest, PruneAndRenumber) {
   EXPECT_EQ(set.rule(0).id, 1);
 }
 
+// A rule over hand-picked attribute spellings, for the index tests.
+Rule Over(std::vector<std::string> lhs, const std::string& rhs,
+          const std::string& isa_type, int64_t support) {
+  Rule r;
+  for (const std::string& attribute : lhs) {
+    r.lhs.push_back(Clause::Equals(attribute, Value::Int(1)));
+  }
+  r.rhs.clause = Clause::Equals(rhs, Value::String("SSN"));
+  r.rhs.isa_type = isa_type;
+  r.support = support;
+  return r;
+}
+
+using Positions = RuleSet::Positions;
+
+TEST(RuleSetTest, IndexesBaseAttributesAndIsaTypesInRuleOrder) {
+  RuleSet set;
+  set.Add(Over({"x.Sonar"}, "x.Type", "SSN", 5));                  // 0
+  set.Add(Over({"INSTALL.Sonar", "sonar"}, "Class", "", 5));      // 1
+  set.Add(Over({"Displacement", "SONAR"}, "CLASS.Type", "SSBN", 1));  // 2
+  set.Add(Over({}, "type", "SSN", 5));                            // 3
+  // Every spelling of one base name reaches one list; a rule with two
+  // clauses over it is listed once.
+  for (const char* spelling : {"Sonar", "y.SONAR", "INSTALL.sonar"}) {
+    EXPECT_EQ(set.WithLhsOn(spelling), (Positions{0, 1, 2})) << spelling;
+  }
+  EXPECT_EQ(set.WithLhsOn("CLASS.Displacement"), (Positions{2}));
+  EXPECT_EQ(set.WithRhsOn("TYPE"), (Positions{0, 2, 3}));
+  EXPECT_EQ(set.WithRhsOn("s.Class"), (Positions{1}));
+  EXPECT_TRUE(set.WithLhsOn("Type").empty());
+  EXPECT_TRUE(set.WithRhsOn("Nope").empty());
+  ASSERT_EQ(set.by_isa_type().size(), 2u);
+  EXPECT_EQ(set.by_isa_type().at("SSN"), (Positions{0, 3}));
+  EXPECT_EQ(set.by_isa_type().at("SSBN"), (Positions{2}));
+}
+
+TEST(RuleSetTest, PruneRebuildsTheIndex) {
+  RuleSet set;
+  set.Add(Over({"x.Sonar"}, "x.Type", "SSN", 5));
+  set.Add(Over({"Displacement", "Sonar"}, "CLASS.Type", "SSBN", 1));
+  set.Add(Over({"Sonar"}, "Class", "", 5));
+  set.Add(Over({"Displacement"}, "Type", "SSBN", 5));
+  EXPECT_EQ(set.WithLhsOn("Sonar"), (Positions{0, 1, 2}));
+  ASSERT_EQ(set.Prune(3), 1u);
+  EXPECT_EQ(set.WithLhsOn("Sonar"), (Positions{0, 1}));
+  EXPECT_EQ(set.WithLhsOn("Displacement"), (Positions{2}));
+  EXPECT_EQ(set.WithRhsOn("Type"), (Positions{0, 2}));
+  EXPECT_EQ(set.by_isa_type().at("SSBN"), (Positions{2}));
+  ASSERT_EQ(set.Prune(10), 3u);
+  EXPECT_TRUE(set.WithLhsOn("Sonar").empty());
+  EXPECT_TRUE(set.WithRhsOn("Type").empty());
+  EXPECT_TRUE(set.by_isa_type().empty());
+}
+
+TEST(RuleSetTest, CopiesCarryTheirOwnIndex) {
+  RuleSet set;
+  set.Add(Over({"Sonar"}, "Type", "SSN", 5));
+  RuleSet copy = set;
+  copy.Add(Over({"Sonar"}, "Type", "SSBN", 5));
+  EXPECT_EQ(copy.WithLhsOn("Sonar"), (Positions{0, 1}));
+  EXPECT_EQ(copy.by_isa_type().at("SSBN"), (Positions{1}));
+  EXPECT_EQ(set.WithLhsOn("Sonar"), (Positions{0}));
+  EXPECT_EQ(set.by_isa_type().count("SSBN"), 0u);
+  RuleSet moved = std::move(copy);
+  EXPECT_EQ(moved.WithRhsOn("Type"), (Positions{0, 1}));
+}
+
 TEST(RuleSetTest, ToStringOneRulePerLine) {
   RuleSet set;
   set.Add(MakeR9());

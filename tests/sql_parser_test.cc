@@ -133,6 +133,37 @@ TEST(SqlParserTest, ToStringRoundTripReparses) {
   }
 }
 
+TEST(SqlParserTest, NegativeNumericLiterals) {
+  ASSERT_OK_AND_ASSIGN(SelectStatement eq,
+                       ParseSelect("SELECT * FROM T WHERE K = -3"));
+  EXPECT_EQ(eq.where->rhs.literal, Value::Int(-3));
+
+  ASSERT_OK_AND_ASSIGN(
+      SelectStatement band,
+      ParseSelect("SELECT * FROM T WHERE K BETWEEN -5 AND -1"));
+  EXPECT_EQ(band.where->kind, SqlExpr::Kind::kBetween);
+  EXPECT_EQ(band.where->low.literal, Value::Int(-5));
+  EXPECT_EQ(band.where->high.literal, Value::Int(-1));
+
+  ASSERT_OK_AND_ASSIGN(SelectStatement real,
+                       ParseSelect("SELECT * FROM T WHERE D > -2.5"));
+  EXPECT_EQ(real.where->op, CompareOp::kGt);
+  EXPECT_EQ(real.where->rhs.literal, Value::Real(-2.5));
+
+  // "--" still starts a comment, digits or not.
+  ASSERT_OK_AND_ASSIGN(SelectStatement comment,
+                       ParseSelect("SELECT * FROM T WHERE K = 1 --3"));
+  EXPECT_EQ(comment.where->rhs.literal, Value::Int(1));
+
+  for (const SelectStatement* stmt : {&eq, &band, &real}) {
+    ASSERT_OK_AND_ASSIGN(SelectStatement again, ParseSelect(stmt->ToString()));
+    EXPECT_EQ(again.ToString(), stmt->ToString());
+  }
+  // There is no binary minus.
+  EXPECT_FALSE(ParseSelect("SELECT * FROM T WHERE K = 1 - 3").ok());
+  EXPECT_FALSE(ParseSelect("SELECT * FROM T WHERE K = 1 -3").ok());
+}
+
 TEST(SqlParserTest, Errors) {
   EXPECT_FALSE(ParseSelect("").ok());
   EXPECT_FALSE(ParseSelect("SELECT FROM T").ok());
