@@ -34,7 +34,9 @@ namespace cache {
 
 // A memoized inference outcome: the answer plus the degradation events
 // the inference stage absorbed while producing it (replayed on a hit so
-// a cached answer renders byte-identically to its original).
+// a cached answer renders byte-identically to its original). The answer
+// shares its statements with the query that inserted it and with every
+// hit; none of them copies them.
 struct CachedAnswer {
   IntensionalAnswer answer;
   std::vector<fault::DegradationEvent> degradations;

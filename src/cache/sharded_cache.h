@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -33,8 +34,9 @@ struct CacheCounters {
 // and inserts hash the key to one of `shards` independent shards, each a
 // doubly-linked recency list plus an index, guarded by its own mutex —
 // concurrent readers on different shards never contend, and no lock is
-// ever held across user code (values are handed out as shared_ptr, so an
-// entry evicted mid-read stays alive for the reader holding it).
+// ever held across user code: values are handed out as shared_ptr, so an
+// entry evicted mid-read stays alive for the reader holding it, and a
+// value the cache drops is destroyed after the shard's mutex is released.
 //
 // Capacity is enforced per shard (total capacity / shard count, at least
 // one entry each), so the steady-state size stays within `capacity` of
@@ -70,11 +72,16 @@ class ShardedLruCache {
   // beyond the shard capacity. Null values are ignored.
   void Insert(const std::string& key, std::shared_ptr<const V> value) {
     if (value == nullptr) return;
+    // Declared before the lock, so a replaced or evicted value is
+    // released after the unlock: freeing a large value (a cached answer
+    // holds about a thousand statements) never holds the shard's mutex.
+    std::shared_ptr<const V> replaced;
+    Entries evicted;
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-      it->second->second = std::move(value);
+      replaced = std::exchange(it->second->second, std::move(value));
       shard.entries.splice(shard.entries.begin(), shard.entries, it->second);
       return;
     }
@@ -84,15 +91,17 @@ class ShardedLruCache {
     size_t cap = per_shard_capacity_.load(std::memory_order_relaxed);
     while (shard.entries.size() > cap) {
       shard.index.erase(shard.entries.back().first);
-      shard.entries.pop_back();
+      evicted.splice(evicted.end(), shard.entries,
+                     std::prev(shard.entries.end()));
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   void Clear() {
     for (Shard& shard : shards_) {
+      Entries released;  // freed after the unlock, as in Insert
       std::lock_guard<std::mutex> lock(shard.mu);
-      shard.entries.clear();
+      released.swap(shard.entries);
       shard.index.clear();
     }
   }
@@ -135,15 +144,12 @@ class ShardedLruCache {
   }
 
  private:
+  using Entries = std::list<std::pair<std::string, std::shared_ptr<const V>>>;
+
   struct Shard {
     mutable std::mutex mu;
-    // Front = most recently used.
-    std::list<std::pair<std::string, std::shared_ptr<const V>>> entries;
-    std::unordered_map<
-        std::string,
-        typename std::list<
-            std::pair<std::string, std::shared_ptr<const V>>>::iterator>
-        index;
+    Entries entries;  // front = most recently used
+    std::unordered_map<std::string, typename Entries::iterator> index;
   };
 
   Shard& ShardFor(const std::string& key) {

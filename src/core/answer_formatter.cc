@@ -115,14 +115,16 @@ std::string AnswerFormatter::Summary(const QueryResult& result) const {
   // Attributes that classification hinges on (appearing in some subtype's
   // derivation specification) — preferred in backward descriptions, the
   // way the paper surfaces class ranges rather than hull-number ranges.
+  std::vector<std::string> classification_attrs;
+  for (const std::string& type_name : hierarchy.AllTypes()) {
+    auto node = hierarchy.Get(type_name);
+    if (!node.ok() || !(*node)->derivation.has_value()) continue;
+    classification_attrs.push_back((*node)->derivation->BaseAttribute());
+  }
   auto is_classification_attr = [&](const Clause& clause) {
-    for (const std::string& type_name : hierarchy.AllTypes()) {
-      auto node = hierarchy.Get(type_name);
-      if (!node.ok() || !(*node)->derivation.has_value()) continue;
-      if (EqualsIgnoreCase((*node)->derivation->BaseAttribute(),
-                           clause.BaseAttribute())) {
-        return true;
-      }
+    const std::string base = clause.BaseAttribute();
+    for (const std::string& attr : classification_attrs) {
+      if (EqualsIgnoreCase(attr, base)) return true;
     }
     return false;
   };
@@ -135,14 +137,7 @@ std::string AnswerFormatter::Summary(const QueryResult& result) const {
   // Example 1 clean. Among eligible statements prefer classification
   // attributes, then exactness, then rule order.
   const IntensionalStatement* backward = nullptr;
-  auto better = [&](const IntensionalStatement& a,
-                    const IntensionalStatement& b) {
-    bool a_cls = !a.facts.empty() && is_classification_attr(a.facts[0].clause);
-    bool b_cls = !b.facts.empty() && is_classification_attr(b.facts[0].clause);
-    if (a_cls != b_cls) return a_cls;
-    if (a.exact != b.exact) return a.exact;
-    return false;  // keep earlier
-  };
+  bool backward_cls = false;
   for (const IntensionalStatement& s : answer.statements()) {
     if (s.direction != AnswerDirection::kContainedIn) continue;
     bool eligible;
@@ -154,7 +149,13 @@ std::string AnswerFormatter::Summary(const QueryResult& result) const {
                  !EqualsIgnoreCase(s.target.root_entity, primary_root);
     }
     if (!eligible) continue;
-    if (backward == nullptr || better(s, *backward)) backward = &s;
+    bool cls = !s.facts.empty() && is_classification_attr(s.facts[0].clause);
+    bool better = backward == nullptr ||
+                  (cls != backward_cls ? cls : s.exact && !backward->exact);
+    if (better) {
+      backward = &s;
+      backward_cls = cls;
+    }
   }
 
   // Original query conditions in prose.
@@ -228,29 +229,38 @@ std::string AnswerFormatter::Render(const QueryResult& result) const {
       break;
     }
   }
+  const std::vector<IntensionalStatement>& statements =
+      result.intensional.statements();
+  // One buffer for the whole rendering; a statement line runs about 70
+  // bytes on the fleet answers, and growth covers longer ones.
   std::string out;
+  out.reserve(256 + 72 * statements.size());
   if (extensional_only) {
     for (const fault::DegradationEvent& e : result.degradations) {
       if (e.action != fault::DegradeAction::kExtensionalOnly) continue;
-      out += "intensional unavailable: " + e.reason + " [" + e.stage + "]\n";
+      out.append("intensional unavailable: ")
+          .append(e.reason)
+          .append(" [")
+          .append(e.stage)
+          .append("]\n");
     }
   } else {
-    out = Summary(result);
-    out += "\n";
+    out.append(Summary(result)).push_back('\n');
   }
-  for (const IntensionalStatement& s : result.intensional.statements()) {
-    out += "  " + s.ToString();
+  for (const IntensionalStatement& s : statements) {
+    out.append("  ");
+    s.AppendTo(&out);
     if (s.direction == AnswerDirection::kContainedIn && !s.exact) {
-      out += "  [approximate]";
+      out.append("  [approximate]");
     }
-    out += "\n";
+    out.push_back('\n');
   }
   for (const RewriteStep& step : result.rewrites) {
-    out += "  rewrite: " + step.ToString() + "\n";
+    out.append("  rewrite: ").append(step.ToString()).push_back('\n');
   }
   for (const fault::DegradationEvent& e : result.degradations) {
     if (e.action == fault::DegradeAction::kExtensionalOnly) continue;
-    out += "  degraded: " + e.ToString() + "\n";
+    out.append("  degraded: ").append(e.ToString()).push_back('\n');
   }
   return out;
 }

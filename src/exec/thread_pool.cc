@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
@@ -24,10 +26,12 @@ struct BatchState {
   std::exception_ptr error;
   size_t error_index = SIZE_MAX;  // lowest failing task index wins
 
+  // Takes the task's exception by value, so a winning one is moved in
+  // and no worker keeps a reference to what the caller rethrows.
   void Finish(size_t index, std::exception_ptr e) {
     std::lock_guard<std::mutex> lock(mu);
     if (e != nullptr && index < error_index) {
-      error = e;
+      error = std::move(e);
       error_index = index;
     }
     if (--remaining == 0) cv.notify_all();
@@ -128,7 +132,7 @@ void ThreadPool::RunBatch(std::vector<std::function<void()>> tasks) {
         } catch (...) {
           e = std::current_exception();
         }
-        state->Finish(i, e);
+        state->Finish(i, std::move(e));
       };
       WorkerQueue& q = *queues_[next_queue_];
       next_queue_ = (next_queue_ + 1) % queues_.size();
@@ -139,9 +143,15 @@ void ThreadPool::RunBatch(std::vector<std::function<void()>> tasks) {
     IQS_GAUGE_SET("exec.pool.queue_depth", pending_);
   }
   wake_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&state] { return state->remaining == 0; });
-  if (state->error != nullptr) std::rethrow_exception(state->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->cv.wait(lock, [&state] { return state->remaining == 0; });
+    // Moved out under the lock: the last worker to drop `state` then
+    // frees no exception the caller is reading.
+    error = std::move(state->error);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 void ThreadPool::Post(std::function<void()> task) {

@@ -40,17 +40,29 @@ bool Fact::SameContent(const Fact& other) const {
 }
 
 std::string Fact::ToString() const {
-  std::string out = kind == Kind::kType ? variable + " isa " + type_name
-                                        : clause.ToConditionString();
-  if (!rule_ids.empty()) {
-    out += "  [";
-    for (size_t i = 0; i < rule_ids.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "R" + std::to_string(rule_ids[i]);
-    }
-    out += "]";
-  }
+  std::string out;
+  AppendTo(&out);
   return out;
+}
+
+void Fact::AppendTo(std::string* out) const {
+  AppendContentTo(out);
+  if (rule_ids.empty()) return;
+  out->append("  [");
+  for (size_t i = 0; i < rule_ids.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    out->push_back('R');
+    out->append(std::to_string(rule_ids[i]));
+  }
+  out->push_back(']');
+}
+
+void Fact::AppendContentTo(std::string* out) const {
+  if (kind == Kind::kType) {
+    out->append(variable).append(" isa ").append(type_name);
+  } else {
+    clause.AppendConditionTo(out);
+  }
 }
 
 bool AddFact(std::vector<Fact>* facts, Fact fact) {

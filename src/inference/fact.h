@@ -47,8 +47,12 @@ struct Fact {
   // Equality ignores provenance (used for fixpoint detection).
   bool SameContent(const Fact& other) const;
 
-  // "x isa SSBN [R9]" / "Displacement >= 7250".
+  // "x isa SSBN  [R9]" / "Displacement >= 7250".
   std::string ToString() const;
+  // Appends ToString()'s text to `out`.
+  void AppendTo(std::string* out) const;
+  // Appends the text without the provenance: "x isa SSBN".
+  void AppendContentTo(std::string* out) const;
 };
 
 // Inserts `fact` unless a content-equal fact is present; returns whether

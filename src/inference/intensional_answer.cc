@@ -13,30 +13,53 @@ const char* AnswerDirectionName(AnswerDirection direction) {
 }
 
 std::string IntensionalStatement::ToString() const {
-  std::string out =
-      direction == AnswerDirection::kContains ? "answers ⊆ { " : "answers ⊇ { ";
-  for (size_t i = 0; i < facts.size(); ++i) {
-    if (i > 0) out += " and ";
-    Fact f = facts[i];
-    f.rule_ids.clear();  // provenance shown once, at statement level
-    out += f.ToString();
-  }
-  out += " }";
-  if (!rule_ids.empty()) {
-    out += "  (by ";
-    for (size_t i = 0; i < rule_ids.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "R" + std::to_string(rule_ids[i]);
-    }
-    out += ")";
-  }
+  std::string out;
+  AppendTo(&out);
   return out;
+}
+
+void IntensionalStatement::AppendTo(std::string* out) const {
+  out->append(direction == AnswerDirection::kContains ? "answers ⊆ { "
+                                                      : "answers ⊇ { ");
+  for (size_t i = 0; i < facts.size(); ++i) {
+    if (i > 0) out->append(" and ");
+    facts[i].AppendContentTo(out);  // provenance shown once, below
+  }
+  out->append(" }");
+  if (rule_ids.empty()) return;
+  out->append("  (by ");
+  for (size_t i = 0; i < rule_ids.size(); ++i) {
+    if (i > 0) out->append(", ");
+    out->push_back('R');
+    out->append(std::to_string(rule_ids[i]));
+  }
+  out->push_back(')');
+}
+
+const std::vector<IntensionalStatement>& IntensionalAnswer::statements()
+    const {
+  static const std::vector<IntensionalStatement> kNone;
+  return body_ == nullptr ? kNone : body_->statements;
+}
+
+const std::optional<std::string>& IntensionalAnswer::empty_proof() const {
+  static const std::optional<std::string> kNone;
+  return body_ == nullptr ? kNone : body_->empty_proof;
+}
+
+IntensionalAnswer::Body& IntensionalAnswer::MutableBody() {
+  if (body_ == nullptr) {
+    body_ = std::make_shared<Body>();
+  } else if (body_.use_count() > 1) {
+    body_ = std::make_shared<Body>(*body_);
+  }
+  return *body_;
 }
 
 std::vector<const IntensionalStatement*> IntensionalAnswer::InDirection(
     AnswerDirection direction) const {
   std::vector<const IntensionalStatement*> out;
-  for (const IntensionalStatement& s : statements_) {
+  for (const IntensionalStatement& s : statements()) {
     if (s.direction == direction) out.push_back(&s);
   }
   return out;
@@ -44,7 +67,7 @@ std::vector<const IntensionalStatement*> IntensionalAnswer::InDirection(
 
 std::vector<std::string> IntensionalAnswer::ForwardTypes() const {
   std::vector<std::string> out;
-  for (const IntensionalStatement& s : statements_) {
+  for (const IntensionalStatement& s : statements()) {
     if (s.direction != AnswerDirection::kContains) continue;
     for (const Fact& f : s.facts) {
       if (f.kind != Fact::Kind::kType) continue;
@@ -63,9 +86,9 @@ std::vector<std::string> IntensionalAnswer::ForwardTypes() const {
 
 std::string IntensionalAnswer::ToString() const {
   std::string out;
-  for (const IntensionalStatement& s : statements_) {
-    out += s.ToString();
-    out += "\n";
+  for (const IntensionalStatement& s : statements()) {
+    s.AppendTo(&out);
+    out.push_back('\n');
   }
   return out;
 }

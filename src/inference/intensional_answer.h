@@ -1,6 +1,7 @@
 #ifndef IQS_INFERENCE_INTENSIONAL_ANSWER_H_
 #define IQS_INFERENCE_INTENSIONAL_ANSWER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,24 +38,33 @@ struct IntensionalStatement {
 
   // "answers ⊆ { x isa SSBN }  (by R9)".
   std::string ToString() const;
+  // Appends ToString()'s text to `out`.
+  void AppendTo(std::string* out) const;
 };
 
 // The intensional answer to a query: forward statement(s), backward
 // statement(s), or both when inference modes are combined.
+//
+// An answer is a value whose statements live in one shared, immutable
+// body: copying an answer shares the body, so the processor, the answer
+// cache and every copy of a QueryResult read the same statements without
+// copying them. Add, Reserve and set_empty_proof are for the code that
+// builds an answer; each first clones a body that another answer still
+// shares, so a copy never changes under its other holders.
 class IntensionalAnswer {
  public:
   IntensionalAnswer() = default;
 
   void Add(IntensionalStatement statement) {
-    statements_.push_back(std::move(statement));
+    MutableBody().statements.push_back(std::move(statement));
   }
-  void Reserve(size_t statements) { statements_.reserve(statements); }
+  void Reserve(size_t statements) {
+    MutableBody().statements.reserve(statements);
+  }
 
-  bool empty() const { return statements_.empty(); }
-  size_t size() const { return statements_.size(); }
-  const std::vector<IntensionalStatement>& statements() const {
-    return statements_;
-  }
+  bool empty() const { return statements().empty(); }
+  size_t size() const { return statements().size(); }
+  const std::vector<IntensionalStatement>& statements() const;
 
   // Statements in the given direction.
   std::vector<const IntensionalStatement*> InDirection(
@@ -65,18 +75,24 @@ class IntensionalAnswer {
 
   // Set when the forward facts are mutually unsatisfiable: the answer is
   // provably empty and the string explains why.
-  const std::optional<std::string>& empty_proof() const {
-    return empty_proof_;
-  }
+  const std::optional<std::string>& empty_proof() const;
   void set_empty_proof(std::string explanation) {
-    empty_proof_ = std::move(explanation);
+    MutableBody().empty_proof = std::move(explanation);
   }
 
+  // One line per statement.
   std::string ToString() const;
 
  private:
-  std::vector<IntensionalStatement> statements_;
-  std::optional<std::string> empty_proof_;
+  struct Body {
+    std::vector<IntensionalStatement> statements;
+    std::optional<std::string> empty_proof;
+  };
+
+  // The body, made first (never built) or cloned (shared) as needed.
+  Body& MutableBody();
+
+  std::shared_ptr<Body> body_;  // null until the first Add/Reserve/proof
 };
 
 }  // namespace iqs

@@ -1,10 +1,58 @@
 #include "relational/relation.h"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 
 #include "common/string_util.h"
 
 namespace iqs {
+
+namespace {
+
+size_t HashNumber(double d) {
+  return d == 0.0 ? 0 : std::hash<double>{}(d);  // -0.0 equals 0.0
+}
+
+// Hash of `tuple`'s key columns, consistent with Value equality: an Int
+// and a Real that compare equal hash alike, and so do two nulls. Nullopt
+// when a key value is NaN, which compares equal to every number.
+std::optional<size_t> KeyHash(const Tuple& tuple,
+                              const std::vector<size_t>& key) {
+  size_t hash = 0;
+  for (size_t k : key) {
+    const Value& v = tuple.at(k);
+    size_t h = 0;
+    switch (v.type()) {
+      case ValueType::kNull:
+        break;
+      case ValueType::kInt:
+        h = HashNumber(static_cast<double>(v.AsInt()));
+        break;
+      case ValueType::kReal:
+        if (std::isnan(v.AsReal())) return std::nullopt;
+        h = HashNumber(v.AsReal());
+        break;
+      case ValueType::kString:
+        h = std::hash<std::string>{}(v.AsString());
+        break;
+      case ValueType::kDate:
+        h = std::hash<int64_t>{}(v.AsDate().ToEpochDays());
+        break;
+    }
+    hash ^= h + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
+  }
+  return hash;
+}
+
+bool SameKey(const Tuple& a, const Tuple& b, const std::vector<size_t>& key) {
+  for (size_t k : key) {
+    if (a.at(k) != b.at(k)) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 Status Relation::Insert(Tuple tuple) {
   if (tuple.size() != schema_.size()) {
@@ -30,23 +78,32 @@ Status Relation::Insert(Tuple tuple) {
     }
   }
   std::vector<size_t> key = schema_.KeyIndices();
-  if (!key.empty()) {
-    for (const Tuple& existing : rows_) {
-      bool same = true;
-      for (size_t k : key) {
-        if (existing.at(k) != tuple.at(k)) {
-          same = false;
-          break;
-        }
-      }
-      if (same) {
-        return Status::AlreadyExists("duplicate key inserting into " + name_ +
-                                     ": " + tuple.ToString());
-      }
-    }
+  if (!key.empty() && HasKey(tuple, key)) {
+    return Status::AlreadyExists("duplicate key inserting into " + name_ +
+                                 ": " + tuple.ToString());
   }
   rows_.push_back(std::move(tuple));
   return Status::Ok();
+}
+
+bool Relation::HasKey(const Tuple& tuple, const std::vector<size_t>& key) {
+  for (size_t i = key_index_.size(); i < rows_.size(); ++i) {
+    std::optional<size_t> hash = KeyHash(rows_[i], key);
+    key_scan_ |= !hash.has_value();
+    key_index_.emplace(hash.value_or(0), i);
+  }
+  std::optional<size_t> hash = KeyHash(tuple, key);
+  if (key_scan_ || !hash.has_value()) {
+    for (const Tuple& existing : rows_) {
+      if (SameKey(existing, tuple, key)) return true;
+    }
+    return false;
+  }
+  auto [first, last] = key_index_.equal_range(*hash);
+  for (auto it = first; it != last; ++it) {
+    if (SameKey(rows_[it->second], tuple, key)) return true;
+  }
+  return false;
 }
 
 Status Relation::InsertText(const std::vector<std::string>& fields) {
@@ -66,6 +123,7 @@ Status Relation::InsertText(const std::vector<std::string>& fields) {
 }
 
 size_t Relation::DeleteWhere(const std::function<bool(const Tuple&)>& pred) {
+  DropKeyIndex();
   size_t before = rows_.size();
   rows_.erase(std::remove_if(rows_.begin(), rows_.end(), pred), rows_.end());
   return before - rows_.size();
@@ -117,6 +175,7 @@ Status Relation::SortBy(const std::vector<std::string>& attribute_names) {
     IQS_ASSIGN_OR_RETURN(size_t i, schema_.IndexOf(a));
     idx.push_back(i);
   }
+  DropKeyIndex();
   std::stable_sort(rows_.begin(), rows_.end(),
                    [&idx](const Tuple& a, const Tuple& b) {
                      for (size_t i : idx) {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -13,7 +14,8 @@ namespace iqs {
 
 // A named in-memory table: a Schema plus a bag of tuples. This is the EDB
 // building block (paper §4). Primary-key uniqueness is enforced on insert
-// when the schema declares key attributes.
+// when the schema declares key attributes, through a hash index of the
+// key columns, so a checked insert costs O(1) rather than O(rows).
 class Relation {
  public:
   Relation() = default;
@@ -43,7 +45,10 @@ class Relation {
   // Removes all rows matching `pred`; returns how many were removed.
   size_t DeleteWhere(const std::function<bool(const Tuple&)>& pred);
 
-  void Clear() { rows_.clear(); }
+  void Clear() {
+    rows_.clear();
+    DropKeyIndex();
+  }
 
   // Value of attribute `name` in row `i`.
   Result<Value> GetValue(size_t i, const std::string& name) const;
@@ -63,9 +68,26 @@ class Relation {
   std::string ToTable() const;
 
  private:
+  // Whether a stored row has `tuple`'s key; indexes the rows not yet
+  // indexed first.
+  bool HasKey(const Tuple& tuple, const std::vector<size_t>& key);
+  void DropKeyIndex() {
+    key_index_.clear();
+    key_scan_ = false;
+  }
+
   std::string name_;
   Schema schema_;
   std::vector<Tuple> rows_;
+  // Insert's duplicate-key index: key hash -> row position, one entry
+  // for each of the first key_index_.size() rows. Built by the first
+  // keyed Insert and extended by each one, which also indexes rows
+  // appended unchecked since; DeleteWhere, SortBy and Clear drop it. A
+  // NaN key value equals every number, so once one is indexed
+  // (key_scan_) Insert compares with every row, as it did before the
+  // index.
+  std::unordered_multimap<size_t, size_t> key_index_;
+  bool key_scan_ = false;
 };
 
 }  // namespace iqs

@@ -33,22 +33,32 @@ std::string Clause::ToTripleString() const {
 }
 
 std::string Clause::ToConditionString() const {
+  std::string out;
+  AppendConditionTo(&out);
+  return out;
+}
+
+void Clause::AppendConditionTo(std::string* out) const {
   const Interval& iv = interval_;
   if (iv.IsPoint()) {
-    return attribute_ + " = " + iv.lo()->ToString();
-  }
-  std::string out;
-  if (iv.lo().has_value() && iv.hi().has_value()) {
-    out = iv.lo()->ToString() + (iv.lo_open() ? " < " : " <= ") + attribute_ +
-          (iv.hi_open() ? " < " : " <= ") + iv.hi()->ToString();
+    out->append(attribute_).append(" = ").append(iv.lo()->ToString());
+  } else if (iv.lo().has_value() && iv.hi().has_value()) {
+    out->append(iv.lo()->ToString())
+        .append(iv.lo_open() ? " < " : " <= ")
+        .append(attribute_)
+        .append(iv.hi_open() ? " < " : " <= ")
+        .append(iv.hi()->ToString());
   } else if (iv.lo().has_value()) {
-    out = attribute_ + (iv.lo_open() ? " > " : " >= ") + iv.lo()->ToString();
+    out->append(attribute_)
+        .append(iv.lo_open() ? " > " : " >= ")
+        .append(iv.lo()->ToString());
   } else if (iv.hi().has_value()) {
-    out = attribute_ + (iv.hi_open() ? " < " : " <= ") + iv.hi()->ToString();
+    out->append(attribute_)
+        .append(iv.hi_open() ? " < " : " <= ")
+        .append(iv.hi()->ToString());
   } else {
-    out = attribute_ + " unrestricted";
+    out->append(attribute_).append(" unrestricted");
   }
-  return out;
 }
 
 }  // namespace iqs

@@ -41,6 +41,8 @@ class Clause {
   std::string ToTripleString() const;
   // Condition form: "7250 <= Displacement <= 30000" or "Type = SSBN".
   std::string ToConditionString() const;
+  // Appends ToConditionString()'s text to `out`.
+  void AppendConditionTo(std::string* out) const;
 
   friend bool operator==(const Clause& a, const Clause& b) {
     return a.attribute_ == b.attribute_ && a.interval_ == b.interval_;

@@ -5,8 +5,11 @@
 // passthrough, and a warm hit must render byte-identically to a cold
 // run. Labeled "cache" in ctest (`ctest -L cache` / check-cache).
 
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/query_cache.h"
@@ -104,6 +107,50 @@ TEST(ShardedLruCacheTest, ClearAndShrinkCapacity) {
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Lookup("fresh"), nullptr);
+}
+
+// A value whose destructor looks its cache up from another thread and
+// waits at most 2 s for that lookup. The lookup cannot finish while the
+// destroying thread still holds the shard's mutex. Its future is parked
+// in `pending` rather than joined, so neither outcome can deadlock.
+class LookupOnRelease {
+ public:
+  LookupOnRelease(ShardedLruCache<LookupOnRelease>* cache,
+                  std::vector<std::future<void>>* pending,
+                  int* finished_in_time)
+      : cache_(cache), pending_(pending), finished_in_time_(finished_in_time) {}
+  ~LookupOnRelease() {
+    std::future<void> lookup = std::async(
+        std::launch::async, [cache = cache_] { cache->Lookup("other"); });
+    if (lookup.wait_for(std::chrono::seconds(2)) ==
+        std::future_status::ready) {
+      ++*finished_in_time_;
+    }
+    pending_->push_back(std::move(lookup));
+  }
+
+ private:
+  ShardedLruCache<LookupOnRelease>* cache_;
+  std::vector<std::future<void>>* pending_;
+  int* finished_in_time_;
+};
+
+TEST(ShardedLruCacheTest, ReleasesValuesOutsideTheShardLock) {
+  ShardedLruCache<LookupOnRelease> cache(/*capacity=*/1, /*shard_count=*/1);
+  std::vector<std::future<void>> pending;
+  int finished_in_time = 0;
+  auto value = [&] {
+    return std::make_shared<const LookupOnRelease>(&cache, &pending,
+                                                   &finished_in_time);
+  };
+  cache.Insert("a", value());
+  cache.Insert("a", value());  // refresh: releases the first value
+  EXPECT_EQ(finished_in_time, 1);
+  cache.Insert("b", value());  // evicts "a"
+  EXPECT_EQ(finished_in_time, 2);
+  cache.Clear();  // releases "b"
+  EXPECT_EQ(finished_in_time, 3);
+  EXPECT_EQ(pending.size(), 3u);
 }
 
 TEST(ShardedLruCacheTest, CapacityNeverBelowOnePerShard) {
@@ -205,6 +252,20 @@ TEST_F(QueryCacheTest, ColdMissThenWarmHitByteIdentical) {
   EXPECT_EQ(warm.extensional.ToTable(), cold.extensional.ToTable());
   EXPECT_EQ(system_->Explain(warm), cold_rendered);
   EXPECT_FALSE(warm.degraded());
+}
+
+TEST_F(QueryCacheTest, MissAndHitsShareOneAnswerBody) {
+  ASSERT_OK_AND_ASSIGN(QueryResult miss, system_->Query(kRuleQuery));
+  ASSERT_OK_AND_ASSIGN(QueryResult hit, system_->Query(kRuleQuery));
+  ASSERT_OK_AND_ASSIGN(QueryResult again, system_->Query(kRuleQuery));
+  EXPECT_EQ(cache().answers().counters().hits, 2u);
+  ASSERT_FALSE(miss.intensional.empty());
+  const IntensionalStatement* body = miss.intensional.statements().data();
+  EXPECT_EQ(hit.intensional.statements().data(), body);
+  EXPECT_EQ(again.intensional.statements().data(), body);
+  QueryResult copy = hit;
+  EXPECT_EQ(copy.intensional.statements().data(), body);
+  EXPECT_EQ(system_->Explain(again), system_->Explain(miss));
 }
 
 TEST_F(QueryCacheTest, EquivalentSpellingsShareOnePlan) {

@@ -227,9 +227,10 @@ TEST(ConcurrencyStressTest, CacheReadersRacingInvalidationStorm) {
   // invalidates everything it can: re-induction (rule epoch), mutable
   // table access (database epoch), capacity shrink/grow, explicit
   // Clear(), and enable/disable flips. Correctness bar: every query
-  // succeeds with the serial extensional bytes, and every access is
-  // data-race-free under -DIQS_SANITIZE=thread. Versioned keys mean a
-  // racing reader can at worst *miss* — never observe a stale answer.
+  // succeeds with the serial extensional bytes and renders the serial
+  // intensional answer, and every access is data-race-free under
+  // -DIQS_SANITIZE=thread. Versioned keys mean a racing reader can at
+  // worst *miss* — never observe a stale answer.
   auto system = testing_util::ShipSystemOrFail();
   ASSERT_TRUE(system);
   InductionConfig nc3;
@@ -239,10 +240,12 @@ TEST(ConcurrencyStressTest, CacheReadersRacingInvalidationStorm) {
   cache::QueryCache& cache = system->processor().cache();
 
   std::map<std::string, std::string> expected;
+  std::map<std::string, std::string> expected_render;
   for (const std::string& sql : StressQueries()) {
     auto result = system->Query(sql);
     ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
     expected[sql] = result->extensional.ToTable();
+    expected_render[sql] = system->Explain(*result);
   }
 
   std::atomic<int> failures{0};
@@ -265,6 +268,11 @@ TEST(ConcurrencyStressTest, CacheReadersRacingInvalidationStorm) {
         }
         if (result->extensional.ToTable() != expected[sql]) {
           note_failure("stale or drifted answer under invalidation: " + sql);
+        }
+        // Cached answers are shared bodies: rendering one races the
+        // other readers of the same statements.
+        if (system->Explain(*result) != expected_render[sql]) {
+          note_failure("drifted intensional rendering: " + sql);
         }
       }
     });

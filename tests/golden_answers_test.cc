@@ -22,6 +22,7 @@
 #include "net/server.h"
 #include "sql/sqo_rewrite.h"
 #include "gtest/gtest.h"
+#include "tests/render_oracle.h"
 #include "tests/test_util.h"
 
 namespace iqs {
@@ -428,6 +429,37 @@ TEST_F(GoldenAnswersTest, ShuffledSpellingStreamRendersAsUncached) {
   }
   ship_->processor().cache().set_enabled(ship_was_enabled);
   employee_->processor().cache().set_enabled(employee_was_enabled);
+}
+
+// The single-buffer renderer against the string-concatenating reference
+// it replaced (tests/render_oracle.h): every golden query, healthy,
+// degraded and rewritten, renders byte-identically both ways.
+TEST_F(GoldenAnswersTest, RenderingMatchesTheConcatenatingReference) {
+  ASSERT_NE(ship_, nullptr);
+  ASSERT_NE(employee_, nullptr);
+  InductionConfig config;
+  config.min_support = 3;
+  ASSERT_OK(ship_->Induce(config));
+  auto compare = [](const IqsSystem& system, const std::string& sql) {
+    auto result = system.Query(sql);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
+    render_oracle::ExpectRendersAsReference(system.formatter(), *result, sql);
+  };
+  for (const GoldenCase& c : ShipCases()) compare(*ship_, ShipSql(c));
+  for (const GoldenCase& c : EmployeeCases()) compare(*employee_, c.sql);
+  {
+    fault::ScopedFailpoint fp("infer.fire",
+                              "error(unavailable,inference engine offline)");
+    ASSERT_TRUE(fp.ok());
+    ship_->processor().cache().Clear();
+    employee_->processor().cache().Clear();
+    for (const GoldenCase& c : ShipCases()) compare(*ship_, ShipSql(c));
+    for (const GoldenCase& c : EmployeeCases()) compare(*employee_, c.sql);
+  }
+  ship_->processor().cache().Clear();
+  ship_->processor().set_sqo_mode(SqoMode::kOn);
+  for (const GoldenCase& c : RewrittenShipCases()) compare(*ship_, c.sql);
+  ship_->processor().set_sqo_mode(SqoMode::kOff);
 }
 
 // Over-the-wire goldens: the same renders reconstructed from iqs_serverd

@@ -1,5 +1,8 @@
 #include "relational/relation.h"
 
+#include <cmath>
+#include <string>
+
 #include "gtest/gtest.h"
 #include "relational/schema.h"
 #include "relational/tuple.h"
@@ -95,6 +98,128 @@ TEST(RelationTest, KeyUniquenessEnforced) {
       Tuple({Value::String("S1"), Value::String("B"), Value::Int(200)}));
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(rel.size(), 1u);
+}
+
+Tuple Ship(const std::string& id) {
+  return Tuple({Value::String(id), Value::String("N"), Value::Int(1)});
+}
+
+TEST(RelationTest, DuplicateKeyMessageNamesTheRow) {
+  Relation rel("SHIP", ShipSchema());
+  ASSERT_OK(rel.Insert(Ship("S1")));
+  Status dup = rel.Insert(Ship("S1"));
+  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(dup.message(),
+            "duplicate key inserting into SHIP: " + Ship("S1").ToString());
+}
+
+TEST(RelationTest, DuplicateOfARowAppendedUnchecked) {
+  Relation rel("SHIP", ShipSchema());
+  ASSERT_OK(rel.Insert(Ship("S1")));  // builds the key index
+  rel.AppendUnchecked(Ship("S2"));
+  rel.AppendUnchecked(Ship("S3"));
+  EXPECT_EQ(rel.Insert(Ship("S3")).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(rel.Insert(Ship("S2")).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(rel.Insert(Ship("S1")).code(), StatusCode::kAlreadyExists);
+  EXPECT_OK(rel.Insert(Ship("S4")));
+  EXPECT_EQ(rel.size(), 4u);
+}
+
+TEST(RelationTest, DuplicateAfterDeleteWhere) {
+  Relation rel("SHIP", ShipSchema());
+  for (const char* id : {"S1", "S2", "S3"}) ASSERT_OK(rel.Insert(Ship(id)));
+  // Removing S2 moves S3 to S2's position.
+  EXPECT_EQ(rel.DeleteWhere([](const Tuple& t) {
+              return t.at(0) == Value::String("S2");
+            }),
+            1u);
+  EXPECT_EQ(rel.Insert(Ship("S3")).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(rel.Insert(Ship("S1")).code(), StatusCode::kAlreadyExists);
+  EXPECT_OK(rel.Insert(Ship("S2")));
+  EXPECT_EQ(rel.Insert(Ship("S2")).code(), StatusCode::kAlreadyExists);
+}
+
+TEST(RelationTest, DuplicateAfterSortBy) {
+  Relation rel("SHIP", ShipSchema());
+  for (const char* id : {"S3", "S1", "S2"}) ASSERT_OK(rel.Insert(Ship(id)));
+  ASSERT_OK(rel.SortBy({"Id"}));
+  for (const char* id : {"S1", "S2", "S3"}) {
+    EXPECT_EQ(rel.Insert(Ship(id)).code(), StatusCode::kAlreadyExists) << id;
+  }
+  EXPECT_OK(rel.Insert(Ship("S0")));
+  EXPECT_EQ(rel.Insert(Ship("S0")).code(), StatusCode::kAlreadyExists);
+}
+
+TEST(RelationTest, DuplicateAfterClear) {
+  Relation rel("SHIP", ShipSchema());
+  ASSERT_OK(rel.Insert(Ship("S1")));
+  ASSERT_OK(rel.Insert(Ship("S2")));
+  rel.Clear();
+  EXPECT_OK(rel.Insert(Ship("S2")));
+  EXPECT_EQ(rel.Insert(Ship("S2")).code(), StatusCode::kAlreadyExists);
+  EXPECT_OK(rel.Insert(Ship("S1")));
+  EXPECT_EQ(rel.size(), 2u);
+}
+
+TEST(RelationTest, MultiColumnKey) {
+  Relation rel("INSTALL", Schema({{"Ship", ValueType::kString, true},
+                                  {"Slot", ValueType::kInt, true},
+                                  {"Sonar", ValueType::kString, false}}));
+  auto row = [](const char* ship, int64_t slot, const char* sonar) {
+    return Tuple(
+        {Value::String(ship), Value::Int(slot), Value::String(sonar)});
+  };
+  ASSERT_OK(rel.Insert(row("S1", 1, "BQQ-2")));
+  EXPECT_OK(rel.Insert(row("S1", 2, "BQQ-2")));
+  EXPECT_OK(rel.Insert(row("S2", 1, "BQQ-2")));
+  EXPECT_EQ(rel.Insert(row("S1", 1, "BQS-04")).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(rel.Insert(row("S2", 1, "BQS-04")).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_OK(rel.Insert(row("S2", 2, "BQS-04")));
+}
+
+TEST(RelationTest, KeyEqualityCrossesIntAndReal) {
+  Relation rel("R", Schema({{"x", ValueType::kReal, true}}));
+  rel.AppendUnchecked(Tuple({Value::Int(5)}));
+  EXPECT_EQ(rel.Insert(Tuple({Value::Real(5.0)})).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(rel.Insert(Tuple({Value::Int(5)})).code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_OK(rel.Insert(Tuple({Value::Real(0.0)})));
+  EXPECT_EQ(rel.Insert(Tuple({Value::Real(-0.0)})).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_OK(rel.Insert(Tuple({Value::Real(5.5)})));
+}
+
+TEST(RelationTest, NullKeysAreDuplicates) {
+  Relation rel("SHIP", ShipSchema());
+  ASSERT_OK(rel.Insert(Tuple({Value::Null(), Value::Null(), Value::Null()})));
+  EXPECT_EQ(
+      rel.Insert(Tuple({Value::Null(), Value::Null(), Value::Null()})).code(),
+      StatusCode::kAlreadyExists);
+}
+
+TEST(RelationTest, NanKeyEqualsEveryNumber) {
+  // Value::Compare reads NaN as equal to every number; the key check
+  // keeps that reading.
+  Relation rel("R", Schema({{"x", ValueType::kReal, true}}));
+  ASSERT_OK(rel.Insert(Tuple({Value::Real(1.0)})));
+  EXPECT_EQ(rel.Insert(Tuple({Value::Real(std::nan(""))})).code(),
+            StatusCode::kAlreadyExists);
+  rel.AppendUnchecked(Tuple({Value::Real(std::nan(""))}));
+  EXPECT_EQ(rel.Insert(Tuple({Value::Real(7.0)})).code(),
+            StatusCode::kAlreadyExists);
+}
+
+TEST(RelationTest, CopiedRelationsCheckKeysIndependently) {
+  Relation rel("SHIP", ShipSchema());
+  ASSERT_OK(rel.Insert(Ship("S1")));
+  Relation copy = rel;
+  ASSERT_OK(copy.Insert(Ship("S2")));
+  EXPECT_OK(rel.Insert(Ship("S2")));
+  EXPECT_EQ(copy.Insert(Ship("S1")).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(rel.Insert(Ship("S2")).code(), StatusCode::kAlreadyExists);
 }
 
 TEST(RelationTest, InsertTextParsesPerSchema) {
