@@ -8,7 +8,9 @@
 //   * rule-relation encode/decode vs rule count,
 //   * induction speedup vs worker count (--threads sweep),
 //   * row vs columnar induction (DESIGN.md §14) — also written to
-//     BENCH_columnar.json with a 3x speedup floor (exit nonzero below).
+//     BENCH_columnar.json with a 3x speedup floor (exit nonzero below),
+//   * the batch executor on the 48k-row fleet (EXPERIMENTS.md E10)
+//     and a single-variable QUEL retrieve on the 2.4k-row fleet.
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +29,7 @@
 #include "induction/rule_induction.h"
 #include "induction/inter_object.h"
 #include "inference/engine.h"
+#include "quel/quel_session.h"
 #include "relational/column_store.h"
 #include "relational/database.h"
 #include "relational/relation.h"
@@ -171,6 +174,56 @@ BENCHMARK(BM_IndexedQueryVsScan)
     ->Args({500, 1})
     ->Args({4000, 0})
     ->Args({4000, 1});
+
+// The batch executor's cases (E10): SqlExecutor::ExecuteSql end to end
+// over GenerateFleet(4000, 42) (48k BATTLESHIP rows) with a warm columnar
+// snapshot. items_per_second counts returned rows, so 1e9 / it is the
+// cost per output row in ns.
+void BM_Executor(benchmark::State& state) {
+  static const char* const kQueries[] = {
+      "SELECT COUNT(*) FROM BATTLESHIP",
+      "SELECT Type, COUNT(*) FROM BATTLESHIP GROUP BY Type",
+      "SELECT Name, Displacement FROM BATTLESHIP",
+      "SELECT Name FROM BATTLESHIP WHERE Displacement BETWEEN 41500 AND "
+      "45500",
+      "SELECT BATTLESHIP.Name, SHIPTYPE.TypeName FROM BATTLESHIP, SHIPTYPE "
+      "WHERE BATTLESHIP.Type = SHIPTYPE.Type AND "
+      "BATTLESHIP.Displacement BETWEEN 81200 AND 81600",
+  };
+  static Database* db = GenerateFleet(4000, 42).value().release();
+  SqlExecutor executor(db);
+  const char* sql = kQueries[state.range(0)];
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto result = executor.ExecuteSql(sql);
+    rows = result.ok() ? result->size() : 0;
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetLabel(sql);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows));
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["loaded"] =
+      static_cast<double>(executor.last_stats().base_rows_loaded);
+}
+BENCHMARK(BM_Executor)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
+
+// A single-variable QUEL retrieve of about 600 rows on GenerateFleet(200,
+// 42) (2.4k rows): it lowers onto the executor.
+void BM_QuelRetrieve(benchmark::State& state) {
+  auto db = GenerateFleet(200, 42);
+  QuelSession session(db.value().get());
+  (void)session.ExecuteText("range of b is BATTLESHIP");
+  const std::string retrieve =
+      "retrieve (b.Name, b.Displacement) where b.Displacement > 40000";
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto result = session.ExecuteText(retrieve);
+    rows = result.ok() ? result->relation.size() : 0;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_QuelRetrieve)->Unit(benchmark::kMicrosecond);
 
 void BM_RuleRelationRoundTrip(benchmark::State& state) {
   // Encode+decode a rule base of the requested size.

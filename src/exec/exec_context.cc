@@ -139,9 +139,9 @@ const std::vector<CheckpointInfo>& CheckpointManifest() {
   // per row. Every entry here must be driven by the governance sweep.
   static const std::vector<CheckpointInfo>* manifest =
       new std::vector<CheckpointInfo>{
-          {"sql.scan", "SQL WHERE filter, per parallel chunk"},
+          {"sql.scan", "SQL entry scan, and residual filter per 1024 rows"},
           {"sql.join", "SQL join / cross-product output, per probe batch"},
-          {"sql.aggregate", "SQL aggregate, per parallel chunk"},
+          {"sql.aggregate", "SQL aggregate, per 1024 rows and 256 groups"},
           {"quel.scan", "QUEL retrieve pipeline, per statement stage"},
           {"columnar.scan", "columnar batch scan, per 1024-row block"},
           {"columnar.transpose", "row->column transpose, per column"},

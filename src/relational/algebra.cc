@@ -192,33 +192,34 @@ Status ApplyCondition(const ColumnarRelation& rel, const ColumnCondition& cond,
   return status;
 }
 
-Result<std::vector<uint32_t>> EvalColumnarBlock(
-    const ColumnarRelation& rel, const std::vector<ColumnCondition>& conds,
-    const Predicate* residual, size_t first, size_t last) {
-  std::vector<uint32_t> sel;
-  bool built = false;
+// Applies `conds`, then `residual`, to `sel`: the candidate rows when
+// `built`, else block rows [first, last).
+Status Select(const ColumnarRelation& rel,
+              const std::vector<ColumnCondition>& conds,
+              const Predicate* residual, bool built, size_t first,
+              size_t last, std::vector<uint32_t>* sel) {
   for (const ColumnCondition& cond : conds) {
-    IQS_RETURN_IF_ERROR(ApplyCondition(rel, cond, !built, first, last, &sel));
+    IQS_RETURN_IF_ERROR(ApplyCondition(rel, cond, !built, first, last, sel));
     built = true;
     // Every row was rejected: nothing is left for later conditions or
     // the residual.
-    if (sel.empty()) return sel;
+    if (sel->empty()) return Status::Ok();
   }
   if (!built) {
-    sel.reserve(last - first);
+    sel->reserve(last - first);
     for (size_t r = first; r < last; ++r) {
-      sel.push_back(static_cast<uint32_t>(r));
+      sel->push_back(static_cast<uint32_t>(r));
     }
   }
-  if (residual != nullptr && !sel.empty()) {
+  if (residual != nullptr && !sel->empty()) {
     size_t w = 0;
-    for (uint32_t r : sel) {
+    for (uint32_t r : *sel) {
       IQS_ASSIGN_OR_RETURN(bool keep, residual->Eval(rel.MaterializeRow(r)));
-      if (keep) sel[w++] = r;
+      if (keep) (*sel)[w++] = r;
     }
-    sel.resize(w);
+    sel->resize(w);
   }
-  return sel;
+  return Status::Ok();
 }
 
 // Smallest parallel chunk of a scan without a residual, in blocks. Typed
@@ -246,6 +247,7 @@ Result<std::vector<uint32_t>> ColumnarScan(
       residual == nullptr ? kConditionBlocksPerChunk : 1, Acc{},
       [&](size_t bfirst, size_t bend) -> Part {
         Acc local;
+        std::vector<uint32_t> kept;  // one block's survivors
         for (size_t b = bfirst; b < bend; ++b) {
           // One governance check per 1024-row block — pruned or scanned,
           // the deadline is observed at block cadence.
@@ -259,9 +261,9 @@ Result<std::vector<uint32_t>> ColumnarScan(
             continue;
           }
           auto [first, last] = rel.BlockRange(b);
-          IQS_ASSIGN_OR_RETURN(
-              std::vector<uint32_t> kept,
-              EvalColumnarBlock(rel, conditions, residual, first, last));
+          kept.clear();
+          IQS_RETURN_IF_ERROR(Select(rel, conditions, residual,
+                                     /*built=*/false, first, last, &kept));
           local.rows.insert(local.rows.end(), kept.begin(), kept.end());
         }
         return local;
@@ -273,7 +275,12 @@ Result<std::vector<uint32_t>> ColumnarScan(
           return;
         }
         Acc& dst = **acc;
-        dst.rows.insert(dst.rows.end(), part->rows.begin(), part->rows.end());
+        if (dst.rows.empty()) {
+          dst.rows = std::move(part->rows);
+        } else {
+          dst.rows.insert(dst.rows.end(), part->rows.begin(),
+                          part->rows.end());
+        }
         dst.pruned += part->pruned;
       });
   if (!merged.ok()) return merged.status();
@@ -282,6 +289,15 @@ Result<std::vector<uint32_t>> ColumnarScan(
     stats->blocks_pruned = merged->pruned;
   }
   return std::move(merged->rows);
+}
+
+Result<std::vector<uint32_t>> ColumnarFilter(
+    const ColumnarRelation& rel,
+    const std::vector<ColumnCondition>& conditions, const Predicate* residual,
+    std::vector<uint32_t> rows) {
+  IQS_RETURN_IF_ERROR(
+      Select(rel, conditions, residual, /*built=*/true, 0, 0, &rows));
+  return rows;
 }
 
 }  // namespace iqs

@@ -41,6 +41,14 @@ Result<std::vector<uint32_t>> ColumnarScan(
     const std::vector<ColumnCondition>& conditions, const Predicate* residual,
     ColumnarScanStats* stats);
 
+// The same selection over candidate rows `rows` of `rel` (ascending row
+// ids, e.g. an index's admitted hull) rather than over its blocks: the
+// survivors, in the candidates' order. Serial and unpruned.
+Result<std::vector<uint32_t>> ColumnarFilter(
+    const ColumnarRelation& rel,
+    const std::vector<ColumnCondition>& conditions, const Predicate* residual,
+    std::vector<uint32_t> rows);
+
 }  // namespace iqs
 
 #endif  // IQS_RELATIONAL_ALGEBRA_H_

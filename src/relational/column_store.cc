@@ -45,30 +45,39 @@ Value Column::Get(size_t row) const {
   return Value::Null();
 }
 
-int Column::CompareRows(size_t a, size_t b) const {
+int Column::Compare(size_t a, const Column& other, size_t b) const {
+  if (storage_ != other.storage_) return Get(a).Compare(other.Get(b));
   if (storage_ != Storage::kMixed) {
-    bool an = nulls_[a] != 0, bn = nulls_[b] != 0;
+    bool an = nulls_[a] != 0, bn = other.nulls_[b] != 0;
     if (an || bn) return (an ? 0 : 1) - (bn ? 0 : 1);  // null sorts first
   }
   switch (storage_) {
     case Storage::kInt: {
-      int64_t x = ints_[a], y = ints_[b];
+      int64_t x = ints_[a], y = other.ints_[b];
       return x < y ? -1 : (x > y ? 1 : 0);
     }
     case Storage::kReal:
-      return Sign3(reals_[a] - reals_[b]);
+      return Sign3(reals_[a] - other.reals_[b]);
     case Storage::kString: {
-      int c = strings_[a].compare(strings_[b]);
+      int c = strings_[a].compare(other.strings_[b]);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case Storage::kDate: {
-      int64_t x = dates_[a].ToEpochDays(), y = dates_[b].ToEpochDays();
+      int64_t x = dates_[a].ToEpochDays(), y = other.dates_[b].ToEpochDays();
       return x < y ? -1 : (x > y ? 1 : 0);
     }
     case Storage::kMixed:
-      return mixed_[a].Compare(mixed_[b]);
+      return mixed_[a].Compare(other.mixed_[b]);
   }
   return 0;
+}
+
+std::optional<size_t> Column::Hash(size_t row) const {
+  if (storage_ == Storage::kMixed) return HashValue(mixed_[row]);
+  if (storage_ == Storage::kString && nulls_[row] == 0) {
+    return HashString(strings_[row]);
+  }
+  return HashValue(Get(row));
 }
 
 Status ColumnarRelation::BuildColumn(const Relation& rel, size_t c) {
@@ -180,9 +189,12 @@ Result<ColumnarRelation> ColumnarRelation::Transpose(const Relation& rel) {
   out.stats_.resize(width * out.block_count());
   // Columns are independent slots, so the per-column build parallelizes
   // with no merge beyond first-error-wins; the serial column order is
-  // immaterial to the bytes produced.
+  // immaterial to the bytes produced. A relation of one block (a sys.*
+  // entry the executor transposes per query) runs inline: its columns
+  // cost less than waking the pool.
   Status built = exec::ParallelReduce<Status>(
-      "exec.transpose", width, 1, Status::Ok(),
+      "exec.transpose", width, rel.size() <= kColumnarBlockRows ? width : 1,
+      Status::Ok(),
       [&out, &rel](size_t begin, size_t end) {
         for (size_t c = begin; c < end; ++c) {
           IQS_RETURN_IF_ERROR(out.BuildColumn(rel, c));

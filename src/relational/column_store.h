@@ -2,6 +2,7 @@
 #define IQS_RELATIONAL_COLUMN_STORE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,10 +64,15 @@ class Column {
   // byte-identical) to the one the source Relation held.
   Value Get(size_t row) const;
 
-  // Three-way compare of two entries; matches Value::Compare exactly
-  // (including null-sorts-first) while staying allocation-free for the
-  // typed storages.
-  int CompareRows(size_t a, size_t b) const;
+  // Three-way compare of entry `a` with entry `b` of `other` (which may be
+  // this column); matches Value::Compare exactly (including
+  // null-sorts-first) while staying allocation-free when both columns
+  // share a storage.
+  int Compare(size_t a, const Column& other, size_t b) const;
+  int CompareRows(size_t a, size_t b) const { return Compare(a, *this, b); }
+
+  // HashValue(Get(row)), without copying a string.
+  std::optional<size_t> Hash(size_t row) const;
 
   // Typed views; valid only for the matching storage kind.
   // null_mask is empty for kMixed storage (nulls live in the Values).
@@ -128,8 +134,8 @@ class ColumnarRelation {
     return stats_[column * block_count() + block];
   }
 
-  // Full row `row` as a Tuple (the scan's residual predicates and the
-  // executors' output materialization both run over these).
+  // Full row `row` as a Tuple (the scan's residual predicates run over
+  // these; the executor's output reads only the selected columns).
   Tuple MaterializeRow(size_t row) const;
 
   // Observed [min, max] of column `i` ignoring nulls, folded from the

@@ -1,7 +1,6 @@
 #include "relational/relation.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "common/string_util.h"
@@ -10,37 +9,15 @@ namespace iqs {
 
 namespace {
 
-size_t HashNumber(double d) {
-  return d == 0.0 ? 0 : std::hash<double>{}(d);  // -0.0 equals 0.0
-}
-
-// Hash of `tuple`'s key columns, consistent with Value equality: an Int
-// and a Real that compare equal hash alike, and so do two nulls. Nullopt
-// when a key value is NaN, which compares equal to every number.
+// Hash of `tuple`'s key columns, through HashValue; nullopt when a key
+// value is NaN.
 std::optional<size_t> KeyHash(const Tuple& tuple,
                               const std::vector<size_t>& key) {
   size_t hash = 0;
   for (size_t k : key) {
-    const Value& v = tuple.at(k);
-    size_t h = 0;
-    switch (v.type()) {
-      case ValueType::kNull:
-        break;
-      case ValueType::kInt:
-        h = HashNumber(static_cast<double>(v.AsInt()));
-        break;
-      case ValueType::kReal:
-        if (std::isnan(v.AsReal())) return std::nullopt;
-        h = HashNumber(v.AsReal());
-        break;
-      case ValueType::kString:
-        h = std::hash<std::string>{}(v.AsString());
-        break;
-      case ValueType::kDate:
-        h = std::hash<int64_t>{}(v.AsDate().ToEpochDays());
-        break;
-    }
-    hash ^= h + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
+    std::optional<size_t> h = HashValue(tuple.at(k));
+    if (!h.has_value()) return std::nullopt;
+    hash = HashCombine(hash, *h);
   }
   return hash;
 }

@@ -41,6 +41,7 @@ class Relation {
 
   // Unchecked append for operators that construct known-conformant rows.
   void AppendUnchecked(Tuple tuple) { rows_.push_back(std::move(tuple)); }
+  void Reserve(size_t rows) { rows_.reserve(rows); }
 
   // Removes all rows matching `pred`; returns how many were removed.
   size_t DeleteWhere(const std::function<bool(const Tuple&)>& pred);

@@ -1,7 +1,9 @@
 #include "relational/value.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <ostream>
 
 #include "common/string_util.h"
@@ -168,6 +170,30 @@ int Value::Compare(const Value& other) const {
 
 std::ostream& operator<<(std::ostream& os, const Value& value) {
   return os << value.ToString();
+}
+
+size_t HashString(std::string_view text) {
+  return std::hash<std::string_view>{}(text);
+}
+
+std::optional<size_t> HashValue(const Value& value) {
+  double number = 0.0;
+  switch (value.type()) {
+    case ValueType::kNull:
+      return 0;
+    case ValueType::kString:
+      return HashString(value.AsString());
+    case ValueType::kDate:
+      return std::hash<int64_t>{}(value.AsDate().ToEpochDays());
+    case ValueType::kInt:
+      number = static_cast<double>(value.AsInt());
+      break;
+    case ValueType::kReal:
+      number = value.AsReal();
+      if (std::isnan(number)) return std::nullopt;
+      break;
+  }
+  return number == 0.0 ? 0 : std::hash<double>{}(number);  // -0.0 == 0.0
 }
 
 }  // namespace iqs

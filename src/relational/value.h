@@ -2,7 +2,9 @@
 #define IQS_RELATIONAL_VALUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/result.h"
@@ -100,6 +102,21 @@ inline bool operator>=(const Value& a, const Value& b) {
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& value);
+
+// The one hash consistent with Value::Compare: values that compare equal
+// hash alike (an Int and a Real as the same double, -0.0 as 0.0, null as
+// 0). Nullopt for NaN, which compares equal to every number, so callers
+// fall back to comparison for it. Relation's key index and the executor's
+// join keys, GROUP BY and DISTINCT (through Column::Hash) hash with it.
+std::optional<size_t> HashValue(const Value& value);
+// HashValue of a string value, without building the Value.
+size_t HashString(std::string_view text);
+
+// Folds one value's hash into the hash of the values before it in a row.
+inline size_t HashCombine(size_t hash, size_t value_hash) {
+  return hash ^ (value_hash + 0x9e3779b97f4a7c15ULL + (hash << 6) +
+                 (hash >> 2));
+}
 
 }  // namespace iqs
 

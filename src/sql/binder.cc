@@ -146,29 +146,6 @@ Result<PredicatePtr> BindExpr(const SqlExpr& expr, const Schema& schema,
   return Status::Internal("unreachable SQL expression kind");
 }
 
-// `pred` with every column slot i moved to to[i].
-PredicatePtr Remap(const PredicatePtr& pred, const std::vector<size_t>& to) {
-  auto expr = [&to](const Expr& e) -> ExprPtr {
-    if (const auto* col = dynamic_cast<const ColumnExpr*>(&e)) {
-      return MakeColumn(to[col->index()]);
-    }
-    return MakeConstant(static_cast<const ConstantExpr&>(e).value());
-  };
-  if (const auto* c = dynamic_cast<const ComparePredicate*>(pred.get())) {
-    return MakeCompare(c->op(), expr(c->lhs()), expr(c->rhs()));
-  }
-  if (const auto* a = dynamic_cast<const AndPredicate*>(pred.get())) {
-    return MakeAnd(Remap(a->lhs(), to), Remap(a->rhs(), to));
-  }
-  if (const auto* o = dynamic_cast<const OrPredicate*>(pred.get())) {
-    return MakeOr(Remap(o->lhs(), to), Remap(o->rhs(), to));
-  }
-  if (const auto* n = dynamic_cast<const NotPredicate*>(pred.get())) {
-    return MakeNot(Remap(n->inner(), to));
-  }
-  return pred;  // no columns
-}
-
 }  // namespace
 
 std::string BaseName(const std::string& attribute) {
@@ -233,19 +210,6 @@ Result<PredicatePtr> BindPredicate(const SqlExpr& expr, const Schema& schema) {
   return BindExpr(expr, schema, nullptr, nullptr);
 }
 
-PredicatePtr BoundQuery::WhereAt(const std::vector<size_t>& offsets) const {
-  std::vector<size_t> to(schema.size());
-  bool moved = false;
-  for (size_t t = 0; t < tables.size(); ++t) {
-    moved = moved || offsets[t] != tables[t].offset;
-    size_t width = tables[t].relation->schema().size();
-    for (size_t s = 0; s < width; ++s) {
-      to[tables[t].offset + s] = offsets[t] + s;
-    }
-  }
-  return moved && where != nullptr ? Remap(where, to) : where;
-}
-
 Result<BoundQuery> Bind(const SelectStatement& stmt, const Database& db) {
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM list must not be empty");
@@ -288,9 +252,6 @@ Result<BoundQuery> Bind(const SelectStatement& stmt, const Database& db) {
     conjunct.expr = expr;
     IQS_ASSIGN_OR_RETURN(conjunct.predicate,
                          BindExpr(*expr, q.schema, &q.tables, &conjunct));
-    q.where = q.where == nullptr ? conjunct.predicate
-                                 : MakeAnd(std::move(q.where),
-                                           conjunct.predicate);
     q.conjuncts.push_back(std::move(conjunct));
   }
   return q;

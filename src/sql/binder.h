@@ -90,19 +90,13 @@ struct BoundQuery {
   const SelectStatement* statement = nullptr;
   std::vector<BoundTable> tables;
   // Every entry's attributes named "<effective>.<attr>", in FROM order:
-  // the layout `where` is bound over.
+  // the layout the conjuncts' predicates are bound over.
   Schema schema;
-  PredicatePtr where;  // the conjuncts' predicates ANDed; null without WHERE
   std::vector<BoundConjunct> conjuncts;
 
   const AttributeDef& attribute(const BoundColumn& column) const {
     return tables[column.table].relation->schema().attribute(column.slot);
   }
-
-  // `where` over a layout in which entry e's columns start at
-  // offsets[e] (the executor's join order), rather than at
-  // tables[e].offset.
-  PredicatePtr WhereAt(const std::vector<size_t>& offsets) const;
 };
 
 // Binds `stmt` against `db`. Errors: an empty FROM list, an unknown or

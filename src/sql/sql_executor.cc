@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <optional>
-#include <set>
+#include <unordered_map>
+#include <utility>
 
 #include "common/string_util.h"
-#include "fault/failpoint.h"
 #include "exec/exec_context.h"
-#include "exec/parallel.h"
+#include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/algebra.h"
@@ -26,52 +27,394 @@ const SqlExecutor::ExecutionStats& SqlExecutor::last_stats() const {
   return stats_;
 }
 
-Relation SqlExecutor::QualifiedEmpty(const Schema& schema,
-                                     const std::string& effective_name) {
-  std::vector<AttributeDef> attrs = schema.attributes();
-  for (AttributeDef& a : attrs) {
-    a.name = effective_name + "." + a.name;
-    a.is_key = false;
+namespace {
+
+// One column of the working rows: working row i holds entry ids[i] of
+// `column`.
+struct Cells {
+  const Column* column;
+  const uint32_t* ids;
+
+  Value Get(size_t row) const { return column->Get(ids[row]); }
+  int Compare(size_t a, size_t b) const {
+    return column->CompareRows(ids[a], ids[b]);
   }
-  return Relation(effective_name, Schema(std::move(attrs)));
+};
+
+// The working rows between the pipeline's stages. Row i is row ids[e][i]
+// of the snapshot of each joined entry e: join, filter, aggregate and
+// sort move row ids, and read a value only where they compare it. In a
+// schema-only run the snapshots are null and there are no rows.
+struct Working {
+  std::vector<std::shared_ptr<const ColumnarRelation>> snapshots;
+  std::vector<std::vector<uint32_t>> ids;  // per FROM entry
+  std::vector<size_t> order;               // joined entries, in join order
+  size_t size = 0;
+
+  // Slot `index` of the bound layout. Valid until the next stage moves
+  // the row ids.
+  Cells cells(const BoundQuery& bound, size_t index) const {
+    size_t e = bound.tables.size() - 1;
+    while (bound.tables[e].offset > index) --e;
+    const ColumnarRelation* snapshot = snapshots[e].get();
+    return Cells{snapshot == nullptr
+                     ? nullptr
+                     : &snapshot->column(index - bound.tables[e].offset),
+                 ids[e].data()};
+  }
+};
+
+// Does entry `snapshot`'s scan enforce conjunct `c` (on that entry)? A
+// column-constant comparison on a typed column runs as a ColumnarScan
+// condition; a kMixed column's zone maps span types, so its conjuncts
+// stay residual.
+bool IsScanCondition(const BoundConjunct& c,
+                     const ColumnarRelation& snapshot) {
+  return (c.kind == BoundConjunct::Kind::kCompare ||
+          c.kind == BoundConjunct::Kind::kBetween) &&
+         snapshot.column(c.column.slot).storage() != Column::Storage::kMixed;
 }
 
-Result<Relation> SqlExecutor::JoinOn(const Relation& left, size_t li,
-                                     const Relation& right, size_t ri) {
-  std::vector<AttributeDef> attrs = left.schema().attributes();
-  attrs.insert(attrs.end(), right.schema().attributes().begin(),
-               right.schema().attributes().end());
-  IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-  Relation out(left.name() + "*" + right.name(), std::move(schema));
-  std::multimap<std::string, size_t> index;
-  for (size_t r = 0; r < right.size(); ++r) {
-    const Value& v = right.row(r).at(ri);
-    if (!v.is_null()) index.emplace(v.ToString(), r);
-  }
-  // Governed at probe-batch granularity: every 256 probe rows the join
-  // charges its freshly materialized output and re-checks the context,
-  // so a runaway many-to-many join unwinds instead of filling memory.
-  size_t width = out.schema().size();
-  size_t last_size = 0;
-  for (size_t l = 0; l < left.size(); ++l) {
-    if ((l & 255) == 0) {
-      IQS_RETURN_IF_ERROR(
-          exec::ChargeRows("sql.join", out.size() - last_size, width));
-      last_size = out.size();
+// Partitions working rows by their values in `keys` under Value::Compare
+// equality, hashed through Column::Hash: Find(row) returns the row's
+// group, opening one when the row is the first of its values. A row equal
+// to the previous lookup's group skips the hash. A NaN, which equals
+// every number, turns every later lookup into a scan of the groups, as in
+// Relation's key index.
+class RowGroups {
+ public:
+  explicit RowGroups(std::vector<Cells> keys) : keys_(std::move(keys)) {}
+
+  size_t Find(size_t row) {
+    if (!firsts_.empty() && Same(firsts_[last_], row)) return last_;
+    std::optional<size_t> hash = 0;
+    for (size_t k = 0; k < keys_.size() && hash.has_value(); ++k) {
+      std::optional<size_t> h = keys_[k].column->Hash(keys_[k].ids[row]);
+      hash = h.has_value() ? std::optional(HashCombine(*hash, *h))
+                           : std::nullopt;
     }
-    const Tuple& lt = left.row(l);
-    const Value& v = lt.at(li);
-    if (v.is_null()) continue;
-    auto [begin, end] = index.equal_range(v.ToString());
-    for (auto it = begin; it != end; ++it) {
-      if (right.row(it->second).at(ri) != v) continue;
-      out.AppendUnchecked(Tuple::Concat(lt, right.row(it->second)));
+    scan_ = scan_ || !hash.has_value();
+    auto [first, last] = by_hash_.equal_range(hash.value_or(0));
+    for (size_t g = 0; scan_ && g < firsts_.size(); ++g) {
+      if (Same(firsts_[g], row)) return last_ = g;
+    }
+    for (auto it = first; !scan_ && it != last; ++it) {
+      if (Same(firsts_[it->second], row)) return last_ = it->second;
+    }
+    by_hash_.emplace(hash.value_or(0), firsts_.size());
+    firsts_.push_back(row);
+    return last_ = firsts_.size() - 1;
+  }
+
+  // The first row of each group, in the order the groups opened.
+  const std::vector<size_t>& firsts() const { return firsts_; }
+
+ private:
+  bool Same(size_t a, size_t b) const {
+    for (const Cells& key : keys_) {
+      if (key.Compare(a, b) != 0) return false;
+    }
+    return true;
+  }
+
+  std::vector<Cells> keys_;
+  std::unordered_multimap<size_t, size_t> by_hash_;  // hash -> group
+  std::vector<size_t> firsts_;
+  size_t last_ = 0;
+  bool scan_ = false;
+};
+
+// Attaches entry `t` to the working rows: joined on the working column
+// `key->first` equal to t's column `key->second` (a typed-key hash join),
+// or, without a key, as a cross product. Working rows keep their order,
+// and each one's partners follow t's admitted order. `width` is the
+// joined row's column count, for the "sql.join" charges.
+Status Join(Working* w, size_t t, std::optional<std::pair<Cells, size_t>> key,
+            size_t width) {
+  std::vector<uint32_t> partners = std::move(w->ids[t]);
+  std::vector<std::vector<uint32_t>> out(w->ids.size());
+  auto emit = [w, t, &out](size_t row, uint32_t partner) {
+    for (size_t e : w->order) out[e].push_back(w->ids[e][row]);
+    out[t].push_back(partner);
+  };
+  size_t charged = 0;
+  if (!key.has_value()) {
+    // Cross products are the canonical runaway materialization; one
+    // governance charge per outer row bounds the damage to a single
+    // inner sweep.
+    for (size_t row = 0; row < w->size; ++row) {
+      IQS_RETURN_IF_ERROR(
+          exec::ChargeRows("sql.join", partners.size(), width));
+      charged += partners.size();
+      for (uint32_t p : partners) emit(row, p);
+    }
+  } else if (w->size > 0 && !partners.empty()) {
+    const Column& lcol = *key->first.column;
+    const Column& rcol = w->snapshots[t]->column(key->second);
+    // Build: hash -> first partner position, chained through `next` in
+    // admitted order. Nulls never join; a NaN key sends every probe down
+    // the comparison path.
+    constexpr uint32_t kEnd = UINT32_MAX;
+    std::unordered_map<size_t, uint32_t> heads;
+    std::vector<uint32_t> next(partners.size(), kEnd);
+    bool scan = false;
+    for (uint32_t p = static_cast<uint32_t>(partners.size()); p-- > 0;) {
+      if (rcol.IsNull(partners[p])) continue;
+      std::optional<size_t> h = rcol.Hash(partners[p]);
+      scan = scan || !h.has_value();
+      if (!h.has_value()) continue;
+      auto [it, fresh] = heads.try_emplace(*h, p);
+      if (!fresh) next[p] = std::exchange(it->second, p);
+    }
+    // Probe, governed at batch granularity: every 256 probe rows the join
+    // charges the rows it produced and re-checks the context, so a
+    // runaway many-to-many join unwinds instead of filling memory.
+    for (size_t row = 0; row < w->size; ++row) {
+      if ((row & 255) == 0) {
+        IQS_RETURN_IF_ERROR(exec::ChargeRows(
+            "sql.join", out[t].size() - charged, width));
+        charged = out[t].size();
+      }
+      const uint32_t id = key->first.ids[row];
+      if (lcol.IsNull(id)) continue;
+      auto try_partner = [&](uint32_t p) {
+        if (lcol.Compare(id, rcol, partners[p]) == 0) emit(row, partners[p]);
+      };
+      std::optional<size_t> h = lcol.Hash(id);
+      if (scan || !h.has_value()) {
+        for (uint32_t p = 0; p < partners.size(); ++p) {
+          if (!rcol.IsNull(partners[p])) try_partner(p);
+        }
+        continue;
+      }
+      auto it = heads.find(*h);
+      if (it == heads.end()) continue;
+      for (uint32_t p = it->second; p != kEnd; p = next[p]) try_partner(p);
     }
   }
   IQS_RETURN_IF_ERROR(
-      exec::ChargeRows("sql.join", out.size() - last_size, width));
+      exec::ChargeRows("sql.join", out[t].size() - charged, width));
+  w->order.push_back(t);
+  for (size_t e : w->order) w->ids[e] = std::move(out[e]);
+  w->size = w->ids[t].size();
+  return Status::Ok();
+}
+
+// Positions [0, n) stably sorted by `keys` (key, descending), where
+// compare(key, a, b) three-way compares positions a and b. Serves the
+// plain and the aggregated ORDER BY, and a GROUP BY's key order.
+template <typename Key, typename CompareAt>
+std::vector<uint32_t> SortedPositions(
+    size_t n, const std::vector<std::pair<Key, bool>>& keys,
+    const CompareAt& compare) {
+  std::vector<uint32_t> positions(n);
+  for (size_t i = 0; i < n; ++i) positions[i] = static_cast<uint32_t>(i);
+  if (keys.empty()) return positions;
+  std::stable_sort(positions.begin(), positions.end(),
+                   [&](uint32_t a, uint32_t b) {
+                     for (const auto& [key, desc] : keys) {
+                       int c = compare(key, a, b);
+                       if (c != 0) return desc ? c > 0 : c < 0;
+                     }
+                     return false;
+                   });
+  return positions;
+}
+
+// One aggregate's running state in one group, accumulated in row order.
+struct Accumulator {
+  int64_t count = 0;  // non-null values
+  size_t min = 0;     // working rows of the first minimum and maximum
+  size_t max = 0;
+  double sum = 0.0;
+  int64_t int_sum = 0;
+  Status error;  // the first non-numeric value SUM or AVG met
+};
+
+void Accumulate(const Cells& cells, AggregateFn fn, size_t row,
+                Accumulator* acc) {
+  if (cells.column->IsNull(cells.ids[row])) return;
+  if (acc->count++ == 0) {
+    acc->min = acc->max = row;
+  } else if (fn == AggregateFn::kMin && cells.Compare(row, acc->min) < 0) {
+    acc->min = row;
+  } else if (fn == AggregateFn::kMax && cells.Compare(row, acc->max) > 0) {
+    acc->max = row;
+  }
+  if (fn != AggregateFn::kSum && fn != AggregateFn::kAvg) return;
+  Value v = cells.Get(row);
+  Result<double> numeric = v.AsNumeric();
+  if (!numeric.ok()) {
+    if (acc->error.ok()) acc->error = numeric.status();
+    return;
+  }
+  acc->sum += *numeric;
+  if (v.type() == ValueType::kInt) acc->int_sum += v.AsInt();
+}
+
+// Grouping and aggregation over the working rows: used when the
+// statement has aggregates, a GROUP BY or a HAVING. Plain select items
+// must appear in the GROUP BY list; an aggregate query without GROUP BY
+// forms a single group (one output row, even over empty input). Groups
+// come out in key order, each group column read from its first row.
+Result<Relation> Aggregate(const Working& w, const BoundQuery& bound) {
+  const SelectStatement& stmt = *bound.statement;
+  if (stmt.select_all) {
+    return Status::InvalidArgument("SELECT * cannot be combined with "
+                                   "aggregates or GROUP BY");
+  }
+  std::vector<size_t> group_cols;
+  for (const ColumnRef& ref : stmt.group_by) {
+    IQS_ASSIGN_OR_RETURN(size_t idx, ResolveColumn(bound.schema, ref));
+    group_cols.push_back(idx);
+  }
+  // Resolve select items; plain items must be grouped.
+  std::vector<size_t> columns;  // per item; unused for COUNT(*)
+  for (const SelectItem& item : stmt.select_list) {
+    size_t column = 0;
+    if (!(item.is_aggregate() && item.star)) {
+      IQS_ASSIGN_OR_RETURN(column, ResolveColumn(bound.schema, item.column));
+    }
+    if (!item.is_aggregate() &&
+        std::find(group_cols.begin(), group_cols.end(), column) ==
+            group_cols.end()) {
+      return Status::InvalidArgument(
+          "column '" + item.column.ToString() +
+          "' must appear in GROUP BY or inside an aggregate");
+    }
+    columns.push_back(column);
+  }
+  // Output schema: a group column keeps its type under its base name;
+  // COUNT is an Int and AVG a Real; SUM, MIN and MAX keep the column's
+  // type.
+  std::vector<AttributeDef> attrs;
+  for (size_t k = 0; k < columns.size(); ++k) {
+    const SelectItem& item = stmt.select_list[k];
+    const AttributeDef& source = bound.schema.attribute(columns[k]);
+    if (!item.is_aggregate()) {
+      attrs.push_back({BaseName(source.name), source.type, false});
+      continue;
+    }
+    const ValueType type = item.star ? ValueType::kInt : source.type;
+    if ((item.fn == AggregateFn::kSum || item.fn == AggregateFn::kAvg) &&
+        type != ValueType::kInt && type != ValueType::kReal) {
+      return Status::TypeError(std::string(AggregateFnName(item.fn)) +
+                               " requires a numeric column");
+    }
+    attrs.push_back({item.ToString(),
+                     item.fn == AggregateFn::kCount ? ValueType::kInt
+                     : item.fn == AggregateFn::kAvg ? ValueType::kReal
+                                                    : type,
+                     false});
+  }
+  IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
+
+  // One pass in row order: each row finds its group and feeds the
+  // group's accumulators, so float SUM/AVG add in row order.
+  const size_t width = columns.size();
+  std::vector<Cells> cells;
+  for (size_t column : columns) cells.push_back(w.cells(bound, column));
+  std::vector<std::pair<Cells, bool>> keys;
+  std::vector<Cells> key_cells;
+  for (size_t g : group_cols) {
+    key_cells.push_back(w.cells(bound, g));
+    keys.emplace_back(key_cells.back(), false);
+  }
+  RowGroups groups(std::move(key_cells));
+  std::vector<int64_t> sizes;
+  std::vector<Accumulator> accs;  // [group * width + item]
+  for (size_t row = 0; row < w.size; ++row) {
+    if ((row & 1023) == 0) IQS_GOV_CHECKPOINT("sql.aggregate");
+    const size_t g = keys.empty() ? 0 : groups.Find(row);
+    if (g == sizes.size()) {
+      sizes.push_back(0);
+      accs.resize(accs.size() + width);
+    }
+    ++sizes[g];
+    for (size_t k = 0; k < width; ++k) {
+      const SelectItem& item = stmt.select_list[k];
+      if (item.is_aggregate() && !item.star) {
+        Accumulate(cells[k], item.fn, row, &accs[g * width + k]);
+      }
+    }
+  }
+  if (keys.empty() && sizes.empty()) {
+    sizes.push_back(0);
+    accs.resize(width);
+  }
+
+  // Groups open in row order; they come out in key order, each group
+  // column read from the group's first row (every group has one: plain
+  // items imply a GROUP BY).
+  const std::vector<size_t>& firsts = groups.firsts();
+  std::vector<Tuple> rows;
+  for (uint32_t g : SortedPositions(
+           sizes.size(), keys, [&](const Cells& key, uint32_t a, uint32_t b) {
+             return key.Compare(firsts[a], firsts[b]);
+           })) {
+    if ((rows.size() & 255) == 0) IQS_GOV_CHECKPOINT("sql.aggregate");
+    std::vector<Value> row;
+    for (size_t k = 0; k < width; ++k) {
+      const SelectItem& item = stmt.select_list[k];
+      const Accumulator& acc = accs[g * width + k];
+      IQS_RETURN_IF_ERROR(acc.error);
+      if (!item.is_aggregate()) {
+        row.push_back(cells[k].Get(firsts[g]));
+      } else if (item.fn == AggregateFn::kCount) {
+        row.push_back(Value::Int(item.star ? sizes[g] : acc.count));
+      } else if (acc.count == 0) {
+        row.push_back(Value::Null());
+      } else if (item.fn == AggregateFn::kMin ||
+                 item.fn == AggregateFn::kMax) {
+        row.push_back(
+            cells[k].Get(item.fn == AggregateFn::kMin ? acc.min : acc.max));
+      } else if (item.fn == AggregateFn::kAvg) {
+        row.push_back(Value::Real(acc.sum / static_cast<double>(acc.count)));
+      } else {
+        row.push_back(schema.attribute(k).type == ValueType::kInt
+                          ? Value::Int(acc.int_sum)
+                          : Value::Real(acc.sum));
+      }
+    }
+    rows.emplace_back(std::move(row));
+  }
+
+  if (stmt.having != nullptr) {
+    // HAVING references select-list aggregates by their rendered name
+    // and group columns by their base name — both resolve against the
+    // aggregated schema.
+    IQS_ASSIGN_OR_RETURN(PredicatePtr having,
+                         BindPredicate(*stmt.having, schema));
+    std::vector<Tuple> kept;
+    for (Tuple& row : rows) {
+      IQS_ASSIGN_OR_RETURN(bool keep, having->Eval(row));
+      if (keep) kept.push_back(std::move(row));
+    }
+    rows = std::move(kept);
+  }
+  // ORDER BY applies to the aggregated output (group columns). Output
+  // columns carry base names, so a qualified sort key falls back to its
+  // base name.
+  std::vector<std::pair<size_t, bool>> order_keys;
+  for (const OrderItem& item : stmt.order_by) {
+    auto idx = ResolveColumn(schema, item.column);
+    if (!idx.ok() && !item.column.qualifier.empty()) {
+      idx = ResolveColumn(schema, ColumnRef{"", item.column.name});
+    }
+    if (!idx.ok()) return idx.status();
+    order_keys.emplace_back(*idx, item.descending);
+  }
+  Relation out("result", std::move(schema));
+  for (uint32_t r : SortedPositions(
+           rows.size(), order_keys, [&rows](size_t c, uint32_t a, uint32_t b) {
+             return rows[a].at(c).Compare(rows[b].at(c));
+           })) {
+    out.AppendUnchecked(std::move(rows[r]));
+  }
   return out;
 }
+
+}  // namespace
 
 Result<Relation> SqlExecutor::Execute(const SelectStatement& stmt) const {
   IQS_ASSIGN_OR_RETURN(BoundQuery bound, Bind(stmt, *db_));
@@ -161,15 +504,18 @@ std::optional<std::vector<uint32_t>> SqlExecutor::IndexRows(
 Result<std::vector<uint32_t>> SqlExecutor::ScanRows(
     const BoundQuery& bound, size_t table,
     const ColumnarRelation& snapshot) const {
+  const BoundTable& entry = bound.tables[table];
+  std::optional<std::vector<uint32_t>> candidates;
+  if (!entry.is_virtual()) candidates = IndexRows(bound, table);
+  stats_.index_prefiltered_tables += candidates.has_value();
+  stats_.base_rows_loaded +=
+      candidates.has_value() ? candidates->size() : entry.relation->size();
   const bool one_entry = bound.tables.size() == 1;
   std::vector<ColumnCondition> conditions;
   PredicatePtr residual;
   for (const BoundConjunct& c : bound.conjuncts) {
-    const bool between = c.kind == BoundConjunct::Kind::kBetween;
-    if ((between || c.kind == BoundConjunct::Kind::kCompare) &&
-        c.column.table == table &&
-        snapshot.column(c.column.slot).storage() != Column::Storage::kMixed) {
-      if (between) {
+    if (c.column.table == table && IsScanCondition(c, snapshot)) {
+      if (c.kind == BoundConjunct::Kind::kBetween) {
         conditions.push_back({c.column.slot, CompareOp::kGe, c.constant});
         conditions.push_back({c.column.slot, CompareOp::kLe, c.high});
       } else {
@@ -183,462 +529,185 @@ Result<std::vector<uint32_t>> SqlExecutor::ScanRows(
                                                c.predicate);
     }
   }
+  if (candidates.has_value()) {
+    return ColumnarFilter(snapshot, conditions, residual.get(),
+                          std::move(*candidates));
+  }
   ColumnarScanStats scan_stats;
   IQS_ASSIGN_OR_RETURN(
       std::vector<uint32_t> admitted,
       ColumnarScan(snapshot, conditions, residual.get(), &scan_stats));
-  ++stats_.columnar_tables;
-  stats_.columnar_blocks_total += scan_stats.blocks_total;
-  stats_.columnar_blocks_pruned += scan_stats.blocks_pruned;
-  IQS_COUNTER_INC("sql.execute.columnar_path");
-  IQS_COUNTER_ADD("sql.execute.columnar_blocks_pruned",
-                  scan_stats.blocks_pruned);
+  if (!entry.is_virtual()) {
+    ++stats_.columnar_tables;
+    stats_.columnar_blocks_total += scan_stats.blocks_total;
+    stats_.columnar_blocks_pruned += scan_stats.blocks_pruned;
+    IQS_COUNTER_INC("sql.execute.columnar_path");
+    IQS_COUNTER_ADD("sql.execute.columnar_blocks_pruned",
+                    scan_stats.blocks_pruned);
+  }
   return admitted;
 }
 
 Result<Relation> SqlExecutor::ExecuteInternal(const BoundQuery& bound,
                                               bool schema_only) const {
   const SelectStatement& stmt = *bound.statement;
-  // Load and qualify each FROM entry. A sys.* entry arrives as the
-  // binder's row snapshot. A stored entry loads only the rows its own
-  // conjuncts admit: an index serving one of them picks them, else the
-  // columnar scan does.
-  std::vector<Relation> tables;
-  bool where_filtered = false;
-  for (size_t e = 0; e < bound.tables.size(); ++e) {
+  const size_t entries = bound.tables.size();
+  // Entries: each one's snapshot and the row ids its own conditions
+  // admit. A stored entry reads its cached snapshot, through an index
+  // when one serves a conjunct, else by the columnar scan; a sys.* entry
+  // transposes the binder's row snapshot. A schema-only run reads
+  // nothing: every later stage still runs, over no rows, so the output
+  // shape (and any error) is a real empty scan's.
+  Working w;
+  w.snapshots.resize(entries);
+  w.ids.resize(entries);
+  for (size_t e = 0; e < entries && !schema_only; ++e) {
     const BoundTable& entry = bound.tables[e];
-    const Relation& rel = *entry.relation;
-    Relation qualified =
-        QualifiedEmpty(rel.schema(), entry.ref.effective_name());
-    const size_t width = qualified.schema().size();
-    if (schema_only) {
-      // Proven-empty scan skip: only the schema participates; joins,
-      // filtering, aggregation, and projection all still run so the
-      // output shape (and any error) matches a real scan of zero rows.
-      tables.push_back(std::move(qualified));
-      continue;
-    }
     if (entry.is_virtual()) {
-      for (const Tuple& t : rel.rows()) qualified.AppendUnchecked(t);
-      stats_.base_rows_loaded += rel.size();
-      IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", rel.size(), width));
-      tables.push_back(std::move(qualified));
-      continue;
-    }
-    std::shared_ptr<const ColumnarRelation> snapshot;
-    std::optional<std::vector<uint32_t>> admitted = IndexRows(bound, e);
-    if (admitted.has_value()) {
-      ++stats_.index_prefiltered_tables;
-      stats_.base_rows_loaded += admitted->size();
+      IQS_ASSIGN_OR_RETURN(ColumnarRelation transposed,
+                           ColumnarRelation::Transpose(*entry.relation));
+      w.snapshots[e] =
+          std::make_shared<const ColumnarRelation>(std::move(transposed));
     } else {
-      IQS_ASSIGN_OR_RETURN(snapshot, db_->ColumnarSnapshot(entry.ref.name));
-      IQS_ASSIGN_OR_RETURN(admitted, ScanRows(bound, e, *snapshot));
-      stats_.base_rows_loaded += rel.size();
-      where_filtered = bound.tables.size() == 1;
+      IQS_ASSIGN_OR_RETURN(w.snapshots[e],
+                           db_->ColumnarSnapshot(entry.ref.name));
     }
-    // One materialization loop for both paths, charged per 1024 rows
-    // before they land.
-    for (size_t i = 0; i < admitted->size(); ++i) {
-      if ((i & 1023) == 0) {
-        IQS_RETURN_IF_ERROR(exec::ChargeRows(
-            "sql.scan", std::min<size_t>(1024, admitted->size() - i), width));
-      }
-      const uint32_t r = (*admitted)[i];
-      qualified.AppendUnchecked(
-          snapshot != nullptr ? snapshot->MaterializeRow(r) : rel.row(r));
-    }
-    tables.push_back(std::move(qualified));
+    IQS_ASSIGN_OR_RETURN(w.ids[e], ScanRows(bound, e, *w.snapshots[e]));
+    IQS_RETURN_IF_ERROR(exec::ChargeRows(
+        "sql.scan", w.ids[e].size(), entry.relation->schema().size()));
   }
 
-  // Greedy join plan: start with the first table; repeatedly attach a
-  // table linked to the joined ones by an equi-join conjunct, else
-  // cross-product the next one. `offsets` tracks where each entry's
-  // columns land in `working`.
-  std::vector<const BoundConjunct*> join_conds;
-  for (const BoundConjunct& c : bound.conjuncts) {
-    if (c.kind == BoundConjunct::Kind::kColumns && c.op == CompareOp::kEq) {
-      join_conds.push_back(&c);
-    }
-  }
-  std::vector<bool> joined(tables.size(), false);
-  std::vector<size_t> offsets(tables.size(), 0);
-  Relation working = std::move(tables[0]);
+  // Greedy join plan: start with the first entry; repeatedly attach an
+  // entry linked to the joined ones by the first unused equi-join
+  // conjunct, else cross the next unjoined entry in.
+  std::vector<bool> enforced(bound.conjuncts.size(), false);
+  std::vector<bool> joined(entries, false);
   joined[0] = true;
-  size_t remaining = tables.size() - 1;
-  while (remaining > 0) {
-    bool attached = false;
-    for (const BoundConjunct*& cond : join_conds) {
-      if (cond == nullptr) continue;  // already used
-      for (size_t t = 0; t < tables.size(); ++t) {
-        if (joined[t]) continue;
-        // One side must lie in `working`, the other in table t.
-        const BoundColumn* in_working = &cond->column;
-        const BoundColumn* in_table = &cond->other;
-        if (!joined[in_working->table] || in_table->table != t) {
-          std::swap(in_working, in_table);
-          if (!joined[in_working->table] || in_table->table != t) continue;
-        }
-        offsets[t] = working.schema().size();
-        IQS_ASSIGN_OR_RETURN(
-            working,
-            JoinOn(working, offsets[in_working->table] + in_working->slot,
-                   tables[t], in_table->slot));
-        joined[t] = true;
-        cond = nullptr;
-        --remaining;
-        attached = true;
-        break;
+  w.order = {0};
+  w.size = w.ids[0].size();
+  size_t width = bound.tables[0].relation->schema().size();
+  for (size_t remaining = entries - 1; remaining > 0; --remaining) {
+    std::optional<std::pair<Cells, size_t>> key;
+    size_t t = 0;
+    for (size_t k = 0; k < bound.conjuncts.size() && !key.has_value(); ++k) {
+      const BoundConjunct& c = bound.conjuncts[k];
+      if (c.kind != BoundConjunct::Kind::kColumns || c.op != CompareOp::kEq ||
+          enforced[k]) {
+        continue;
       }
-      if (attached) break;
+      // One side must lie in the working rows, the other in entry t.
+      const BoundColumn* in_working = &c.column;
+      const BoundColumn* in_table = &c.other;
+      if (!joined[in_working->table]) std::swap(in_working, in_table);
+      if (!joined[in_working->table] || joined[in_table->table]) continue;
+      t = in_table->table;
+      key.emplace(w.cells(bound, bound.tables[in_working->table].offset +
+                                     in_working->slot),
+                  in_table->slot);
+      enforced[k] = true;
     }
-    if (!attached) {
-      // No join condition reaches an unjoined table: cross product.
-      for (size_t t = 0; t < tables.size(); ++t) {
-        if (joined[t]) continue;
-        std::vector<AttributeDef> attrs = working.schema().attributes();
-        attrs.insert(attrs.end(), tables[t].schema().attributes().begin(),
-                     tables[t].schema().attributes().end());
-        IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-        Relation crossed(working.name() + "x" + tables[t].name(),
-                         std::move(schema));
-        // Cross products are the canonical runaway materialization; one
-        // governance charge per outer row bounds the damage to a single
-        // inner sweep.
-        size_t crossed_width = crossed.schema().size();
-        for (const Tuple& lt : working.rows()) {
-          IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.join", tables[t].size(),
-                                               crossed_width));
-          for (const Tuple& rt : tables[t].rows()) {
-            crossed.AppendUnchecked(Tuple::Concat(lt, rt));
-          }
-        }
-        offsets[t] = working.schema().size();
-        working = std::move(crossed);
-        joined[t] = true;
-        --remaining;
-        break;
-      }
+    if (!key.has_value()) {
+      while (joined[t]) ++t;  // no conjunct reaches: cross product
     }
+    width += bound.tables[t].relation->schema().size();
+    IQS_RETURN_IF_ERROR(Join(&w, t, key, width));
+    joined[t] = true;
   }
 
-  // Filter with the full WHERE clause, unless the scan of a one-entry
-  // FROM already applied it. Partitioned filter: chunks keep local row
-  // vectors concatenated in chunk order, so row order matches the serial
-  // filter.
-  if (bound.where != nullptr && !where_filtered) {
-    PredicatePtr pred = bound.WhereAt(offsets);
-    const std::vector<Tuple>& rows = working.rows();
-    using Part = Result<std::vector<Tuple>>;
-    Part kept = exec::ParallelReduce<Part>(
-        "exec.scan", rows.size(), 256, std::vector<Tuple>{},
-        [&rows, &pred](size_t begin, size_t end) -> Part {
-          std::vector<Tuple> local;
-          for (size_t i = begin; i < end; ++i) {
-            if (((i - begin) & 1023) == 0) IQS_GOV_CHECKPOINT("sql.scan");
-            IQS_ASSIGN_OR_RETURN(bool keep, pred->Eval(rows[i]));
-            if (keep) local.push_back(rows[i]);
-          }
-          return local;
-        },
-        [](Part* acc, Part&& part) {
-          if (!acc->ok()) return;
-          if (!part.ok()) {
-            *acc = std::move(part);
-            return;
-          }
-          std::vector<Tuple>& dst = **acc;
-          for (Tuple& t : *part) dst.push_back(std::move(t));
-        });
-    if (!kept.ok()) return kept.status();
-    Relation filtered(working.name(), working.schema());
-    for (Tuple& t : *kept) filtered.AppendUnchecked(std::move(t));
-    working = std::move(filtered);
+  // Filter: in a multi-entry FROM, the conjuncts no scan condition or
+  // join key enforced run on the joined rows, in statement order (a
+  // one-entry scan already applied the whole WHERE). Each row is laid
+  // out as BoundQuery::schema, the layout the conjuncts are bound over.
+  std::vector<const Predicate*> residual;
+  for (size_t k = 0; k < bound.conjuncts.size() && entries > 1 && w.size > 0;
+       ++k) {
+    const BoundConjunct& c = bound.conjuncts[k];
+    if (!enforced[k] && !IsScanCondition(c, *w.snapshots[c.column.table])) {
+      residual.push_back(c.predicate.get());
+    }
+  }
+  if (!residual.empty()) {
+    Tuple row(std::vector<Value>(bound.schema.size()));
+    size_t kept = 0;
+    for (size_t i = 0; i < w.size; ++i) {
+      if ((i & 1023) == 0) IQS_GOV_CHECKPOINT("sql.scan");
+      for (size_t e = 0; e < entries; ++e) {
+        const ColumnarRelation& snapshot = *w.snapshots[e];
+        for (size_t c = 0; c < snapshot.schema().size(); ++c) {
+          row.at(bound.tables[e].offset + c) =
+              snapshot.column(c).Get(w.ids[e][i]);
+        }
+      }
+      bool keep = true;
+      for (size_t p = 0; p < residual.size() && keep; ++p) {
+        IQS_ASSIGN_OR_RETURN(keep, residual[p]->Eval(row));
+      }
+      if (!keep) continue;
+      for (std::vector<uint32_t>& ids : w.ids) ids[kept] = ids[i];
+      ++kept;
+    }
+    for (std::vector<uint32_t>& ids : w.ids) ids.resize(kept);
+    w.size = kept;
   }
 
-  // Aggregation path: grouping replaces plain projection.
   if (stmt.has_aggregates() || !stmt.group_by.empty() ||
       stmt.having != nullptr) {
-    IQS_ASSIGN_OR_RETURN(Relation aggregated,
-                         ExecuteAggregate(working, stmt));
-    if (stmt.having != nullptr) {
-      // HAVING references select-list aggregates by their rendered name
-      // and group columns by their base name — both resolve against the
-      // aggregated schema.
-      IQS_ASSIGN_OR_RETURN(PredicatePtr having,
-                           BindPredicate(*stmt.having, aggregated.schema()));
-      Relation filtered(aggregated.name(), aggregated.schema());
-      for (const Tuple& row : aggregated.rows()) {
-        IQS_ASSIGN_OR_RETURN(bool keep, having->Eval(row));
-        if (keep) filtered.AppendUnchecked(row);
-      }
-      aggregated = std::move(filtered);
-    }
-    // ORDER BY applies to the aggregated output (group columns). Output
-    // columns carry base names, so a qualified sort key falls back to
-    // its base name.
-    if (!stmt.order_by.empty()) {
-      std::vector<std::pair<size_t, bool>> keys;
-      for (const OrderItem& item : stmt.order_by) {
-        auto idx = ResolveColumn(aggregated.schema(), item.column);
-        if (!idx.ok() && !item.column.qualifier.empty()) {
-          idx = ResolveColumn(aggregated.schema(),
-                              ColumnRef{"", item.column.name});
-        }
-        if (!idx.ok()) return idx.status();
-        keys.emplace_back(*idx, item.descending);
-      }
-      std::vector<Tuple> rows = aggregated.rows();
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&keys](const Tuple& a, const Tuple& b) {
-                         for (const auto& [idx, desc] : keys) {
-                           int c = a.at(idx).Compare(b.at(idx));
-                           if (c != 0) return desc ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
-      Relation sorted(aggregated.name(), aggregated.schema());
-      for (Tuple& t : rows) sorted.AppendUnchecked(std::move(t));
-      return sorted;
-    }
-    return aggregated;
+    return Aggregate(w, bound);
   }
 
-  // ORDER BY before projection so sort keys need not be selected.
-  if (!stmt.order_by.empty()) {
-    std::vector<std::pair<size_t, bool>> keys;
-    for (const OrderItem& item : stmt.order_by) {
-      IQS_ASSIGN_OR_RETURN(size_t idx,
-                           ResolveColumn(working.schema(), item.column));
-      keys.emplace_back(idx, item.descending);
-    }
-    std::vector<Tuple> rows = working.rows();
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&keys](const Tuple& a, const Tuple& b) {
-                       for (const auto& [idx, desc] : keys) {
-                         int c = a.at(idx).Compare(b.at(idx));
-                         if (c != 0) return desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
-    Relation sorted(working.name(), working.schema());
-    for (Tuple& t : rows) sorted.AppendUnchecked(std::move(t));
-    working = std::move(sorted);
+  // ORDER BY before projection, so sort keys need not be selected.
+  std::vector<std::pair<Cells, bool>> keys;
+  for (const OrderItem& item : stmt.order_by) {
+    IQS_ASSIGN_OR_RETURN(size_t idx, ResolveColumn(bound.schema, item.column));
+    keys.emplace_back(w.cells(bound, idx), item.descending);
   }
+  std::vector<uint32_t> positions = SortedPositions(
+      w.size, keys, [](const Cells& key, uint32_t a, uint32_t b) {
+        return key.Compare(a, b);
+      });
 
-  // Projection. Output columns are named by their base name unless that
-  // would collide, in which case the qualified name is kept.
+  // Projection: SELECT * is every column in join order. Output columns
+  // are named by their base name unless that would collide, in which
+  // case the qualified name is kept.
   std::vector<size_t> indices;
   if (stmt.select_all) {
-    for (size_t i = 0; i < working.schema().size(); ++i) indices.push_back(i);
+    for (size_t e : w.order) {
+      for (size_t c = 0; c < bound.tables[e].relation->schema().size(); ++c) {
+        indices.push_back(bound.tables[e].offset + c);
+      }
+    }
   } else {
     for (const SelectItem& item : stmt.select_list) {
       IQS_ASSIGN_OR_RETURN(size_t idx,
-                           ResolveColumn(working.schema(), item.column));
+                           ResolveColumn(bound.schema, item.column));
       indices.push_back(idx);
     }
   }
   std::map<std::string, int> base_counts;
   for (size_t idx : indices) {
-    base_counts[ToLower(BaseName(working.schema().attribute(idx).name))] += 1;
+    base_counts[ToLower(BaseName(bound.schema.attribute(idx).name))] += 1;
   }
   std::vector<AttributeDef> out_attrs;
+  std::vector<Cells> columns;
   for (size_t idx : indices) {
-    AttributeDef def = working.schema().attribute(idx);
+    AttributeDef def = bound.schema.attribute(idx);
     std::string base = BaseName(def.name);
     if (base_counts[ToLower(base)] == 1) def.name = base;
     out_attrs.push_back(std::move(def));
+    columns.push_back(w.cells(bound, idx));
   }
   IQS_ASSIGN_OR_RETURN(Schema out_schema, Schema::Create(std::move(out_attrs)));
   Relation result("result", std::move(out_schema));
-  std::set<Tuple> seen;
-  for (const Tuple& t : working.rows()) {
-    Tuple projected;
-    for (size_t idx : indices) projected.Append(t.at(idx));
-    if (stmt.distinct && !seen.insert(projected).second) continue;
-    result.AppendUnchecked(std::move(projected));
+  result.Reserve(w.size);
+  RowGroups seen(columns);
+  for (uint32_t i : positions) {
+    if (stmt.distinct && seen.firsts()[seen.Find(i)] != i) continue;
+    std::vector<Value> values;
+    values.reserve(columns.size());
+    for (const Cells& column : columns) values.push_back(column.Get(i));
+    result.AppendUnchecked(Tuple(std::move(values)));
   }
   return result;
-}
-
-Result<Relation> SqlExecutor::ExecuteAggregate(const Relation& working,
-                                               const SelectStatement& stmt) {
-  if (stmt.select_all) {
-    return Status::InvalidArgument("SELECT * cannot be combined with "
-                                   "aggregates or GROUP BY");
-  }
-  // Resolve group columns.
-  std::vector<size_t> group_cols;
-  for (const ColumnRef& ref : stmt.group_by) {
-    IQS_ASSIGN_OR_RETURN(size_t idx, ResolveColumn(working.schema(), ref));
-    group_cols.push_back(idx);
-  }
-  // Resolve select items; plain items must be grouped.
-  struct BoundItem {
-    const SelectItem* item;
-    size_t column = 0;  // unused for COUNT(*)
-  };
-  std::vector<BoundItem> items;
-  for (const SelectItem& item : stmt.select_list) {
-    BoundItem bound{&item, 0};
-    if (!(item.is_aggregate() && item.star)) {
-      IQS_ASSIGN_OR_RETURN(bound.column,
-                           ResolveColumn(working.schema(), item.column));
-    }
-    if (!item.is_aggregate()) {
-      bool grouped = false;
-      for (size_t g : group_cols) {
-        if (g == bound.column) grouped = true;
-      }
-      if (!grouped) {
-        return Status::InvalidArgument(
-            "column '" + item.column.ToString() +
-            "' must appear in GROUP BY or inside an aggregate");
-      }
-    }
-    items.push_back(bound);
-  }
-
-  // Output schema.
-  std::vector<AttributeDef> attrs;
-  for (const BoundItem& bound : items) {
-    const SelectItem& item = *bound.item;
-    AttributeDef def;
-    def.name = item.ToString();
-    if (!item.is_aggregate()) {
-      def = working.schema().attribute(bound.column);
-      def.name = BaseName(def.name);
-      def.is_key = false;
-    } else {
-      switch (item.fn) {
-        case AggregateFn::kCount:
-          def.type = ValueType::kInt;
-          break;
-        case AggregateFn::kMin:
-        case AggregateFn::kMax:
-          def.type = working.schema().attribute(bound.column).type;
-          break;
-        case AggregateFn::kSum:
-          def.type =
-              working.schema().attribute(bound.column).type == ValueType::kInt
-                  ? ValueType::kInt
-                  : ValueType::kReal;
-          break;
-        case AggregateFn::kAvg:
-          def.type = ValueType::kReal;
-          break;
-        case AggregateFn::kNone:
-          break;
-      }
-      if (item.fn == AggregateFn::kSum || item.fn == AggregateFn::kAvg) {
-        ValueType source = working.schema().attribute(bound.column).type;
-        if (source != ValueType::kInt && source != ValueType::kReal) {
-          return Status::TypeError(std::string(AggregateFnName(item.fn)) +
-                                   " requires a numeric column");
-        }
-      }
-    }
-    attrs.push_back(std::move(def));
-  }
-  IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
-  Relation out("result", std::move(schema));
-
-  // Group rows (group key compares by Tuple order). Without GROUP BY,
-  // everything is one group — present even for empty input. Partitioned
-  // grouping: chunks build local key -> row-index maps, merged in chunk
-  // order so each group's index list stays ascending; the per-group
-  // accumulation below then visits rows in exactly the serial order
-  // (which keeps even float SUM/AVG byte-identical).
-  using GroupMap = Result<std::map<Tuple, std::vector<size_t>>>;
-  GroupMap grouped = exec::ParallelReduce<GroupMap>(
-      "exec.aggregate", working.size(), 512,
-      std::map<Tuple, std::vector<size_t>>{},
-      [&working, &group_cols](size_t begin, size_t end) -> GroupMap {
-        std::map<Tuple, std::vector<size_t>> local;
-        for (size_t r = begin; r < end; ++r) {
-          if (((r - begin) & 1023) == 0) IQS_GOV_CHECKPOINT("sql.aggregate");
-          Tuple key;
-          for (size_t g : group_cols) key.Append(working.row(r).at(g));
-          local[std::move(key)].push_back(r);
-        }
-        return local;
-      },
-      [](GroupMap* acc, GroupMap&& part) {
-        if (!acc->ok()) return;
-        if (!part.ok()) {
-          *acc = std::move(part);
-          return;
-        }
-        for (auto& [key, rows] : *part) {
-          std::vector<size_t>& dst = (**acc)[key];
-          dst.insert(dst.end(), rows.begin(), rows.end());
-        }
-      });
-  if (!grouped.ok()) return grouped.status();
-  std::map<Tuple, std::vector<size_t>>& groups = *grouped;
-  if (group_cols.empty() && groups.empty()) groups[Tuple()] = {};
-
-  size_t emitted_groups = 0;
-  for (const auto& [key, rows] : groups) {
-    if ((emitted_groups++ & 255) == 0) IQS_GOV_CHECKPOINT("sql.aggregate");
-    Tuple result_row;
-    for (const BoundItem& bound : items) {
-      const SelectItem& item = *bound.item;
-      if (!item.is_aggregate()) {
-        // Group column: take the value from any member row.
-        result_row.Append(rows.empty() ? Value::Null()
-                                       : working.row(rows[0]).at(bound.column));
-        continue;
-      }
-      if (item.fn == AggregateFn::kCount && item.star) {
-        result_row.Append(Value::Int(static_cast<int64_t>(rows.size())));
-        continue;
-      }
-      int64_t count = 0;
-      Value min, max;
-      double sum = 0.0;
-      bool sum_is_int =
-          working.schema().attribute(bound.column).type == ValueType::kInt;
-      int64_t int_sum = 0;
-      for (size_t r : rows) {
-        const Value& v = working.row(r).at(bound.column);
-        if (v.is_null()) continue;
-        ++count;
-        if (min.is_null() || v < min) min = v;
-        if (max.is_null() || v > max) max = v;
-        if (item.fn == AggregateFn::kSum || item.fn == AggregateFn::kAvg) {
-          IQS_ASSIGN_OR_RETURN(double numeric, v.AsNumeric());
-          sum += numeric;
-          if (v.type() == ValueType::kInt) int_sum += v.AsInt();
-        }
-      }
-      switch (item.fn) {
-        case AggregateFn::kCount:
-          result_row.Append(Value::Int(count));
-          break;
-        case AggregateFn::kMin:
-          result_row.Append(min);
-          break;
-        case AggregateFn::kMax:
-          result_row.Append(max);
-          break;
-        case AggregateFn::kSum:
-          result_row.Append(count == 0 ? Value::Null()
-                            : sum_is_int ? Value::Int(int_sum)
-                                         : Value::Real(sum));
-          break;
-        case AggregateFn::kAvg:
-          result_row.Append(count == 0
-                                ? Value::Null()
-                                : Value::Real(sum / static_cast<double>(
-                                                        count)));
-          break;
-        case AggregateFn::kNone:
-          break;
-      }
-    }
-    out.AppendUnchecked(std::move(result_row));
-  }
-  return out;
 }
 
 Result<Relation> SqlExecutor::ExecuteSql(const std::string& sql) const {

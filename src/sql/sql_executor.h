@@ -13,12 +13,20 @@
 namespace iqs {
 
 // Executes SELECT statements against a Database, producing the
-// extensional answer (paper §4). Each stored FROM entry loads the rows
-// its own conjuncts admit, through an index or the columnar scan; the
-// working relation is the join of the entries — equi-join conditions
-// found in the WHERE clause drive a greedy hash-join plan; remaining
-// entries fall back to cross products — filtered by the full WHERE
-// predicate, then projected / deduplicated / sorted.
+// extensional answer (paper §4), as one pipeline over columnar snapshots
+// in which a row stays a row id until the output is built:
+//  * each FROM entry is a snapshot (a stored relation's cached one, or a
+//    sys.* row snapshot transposed for the query) plus the row ids its
+//    index or ColumnarScan admits under the entry's own conditions;
+//  * equi-join conjuncts drive a greedy typed-key hash join that carries
+//    one row-id vector per entry; an entry no conjunct reaches joins by a
+//    cross product of ids;
+//  * the conjuncts no scan condition or join key enforced run on the
+//    joined rows, in statement order;
+//  * GROUP BY is a hash aggregate over column values, emitted in key
+//    order; one stable sort serves ORDER BY with or without it;
+//  * the projection reads only the selected columns of the surviving
+//    rows, and DISTINCT keeps first occurrences.
 class SqlExecutor {
  public:
   // `db` must outlive the executor.
@@ -42,8 +50,8 @@ class SqlExecutor {
   Result<Relation> ExecuteSql(const std::string& sql) const;
 
   // How the FROM entries were read. An entry whose conjunct restricts an
-  // indexed column loads only the index-admitted rows (the full WHERE
-  // still applies afterwards, so open bounds may over-approximate
+  // indexed column loads only the index-admitted rows (which still pass
+  // the entry's conditions afterwards, so open bounds may over-approximate
   // safely); every other stored entry is read by the columnar scan.
   struct ExecutionStats {
     size_t index_prefiltered_tables = 0;
@@ -67,43 +75,28 @@ class SqlExecutor {
   Result<Relation> ExecuteMeasured(const BoundQuery& bound,
                                    bool schema_only) const;
 
-  // Execute minus the instrumentation wrapper: the join/filter/project
-  // pipeline with its many exit points. With `schema_only`, FROM tables
+  // Execute minus the instrumentation wrapper: the pipeline described
+  // above, with its many exit points. With `schema_only`, FROM entries
   // contribute their schemas but no rows.
   Result<Relation> ExecuteInternal(const BoundQuery& bound,
                                    bool schema_only) const;
 
   // Index path: the rows of stored entry `table` admitted by the first
   // bound conjunct that restricts one of its indexed columns to a range,
-  // ascending; nullopt when no conjunct applies. The full WHERE still
-  // runs afterwards, so an open bound's closed hull is safe.
+  // ascending; nullopt when no conjunct applies. ScanRows still runs the
+  // entry's conditions over them, so an open bound's closed hull is safe.
   std::optional<std::vector<uint32_t>> IndexRows(const BoundQuery& bound,
                                                  size_t table) const;
 
-  // Scan path: the rows of stored entry `table` that ColumnarScan admits
-  // over `snapshot`. The conditions are the entry's kCompare/kBetween
-  // conjuncts on typed columns. In a one-entry FROM every other conjunct
-  // is the residual, so the rows returned satisfy the whole WHERE; in a
-  // multi-entry FROM they only prune the entry before the join.
+  // The rows of entry `table` that `snapshot` admits under the entry's
+  // scan conditions (see IsScanCondition): over the IndexRows of a stored
+  // entry when an index serves it, else by ColumnarScan. In a one-entry
+  // FROM every other conjunct is the residual, so the rows returned
+  // satisfy the whole WHERE; in a multi-entry FROM they only prune the
+  // entry before the join.
   Result<std::vector<uint32_t>> ScanRows(
       const BoundQuery& bound, size_t table,
       const ColumnarRelation& snapshot) const;
-
-  // An empty relation over `schema` with attributes renamed
-  // "<effective>.<attr>": the shell each FROM entry's rows load into.
-  static Relation QualifiedEmpty(const Schema& schema,
-                                 const std::string& effective_name);
-
-  // Hash equi-join of two working relations on the given columns.
-  static Result<Relation> JoinOn(const Relation& left, size_t left_col,
-                                 const Relation& right, size_t right_col);
-
-  // Grouping/aggregation over the filtered working relation: used when
-  // the statement has aggregates or a GROUP BY. Plain select items must
-  // appear in the GROUP BY list; an aggregate query without GROUP BY
-  // forms a single group (one output row, even over empty input).
-  static Result<Relation> ExecuteAggregate(const Relation& working,
-                                           const SelectStatement& stmt);
 
   const Database* db_;
   static thread_local ExecutionStats stats_;

@@ -1,13 +1,16 @@
-// Oracle differential for the one scan path (DESIGN.md §14): the
-// executor reads every stored FROM entry through the columnar scan, and
-// every statement here must answer exactly as
-// testing_util::TupleAtATimeRows, a tuple-at-a-time evaluation that
-// shares no executor code. Rows must match; on failure, the status code
-// and text. The statements are a golden SQL corpus, a seeded 250-query
-// fuzz sweep, a multi-entry join battery and a QUEL corpus (over a wide
-// synthetic relation, where zone-map pruning must fire). Aggregates are
-// checked through their FROM/WHERE, as SELECT *, against the oracle, and
-// their rows against tables written here. Induction holds the columnar
+// Oracle differential for the one scan path and the batch executor
+// (DESIGN.md §14): the executor reads every stored FROM entry through the
+// columnar scan and carries row ids to the output, and every statement
+// here must answer exactly as an evaluation that shares no executor code:
+// testing_util::TupleAtATimeRows for select-project-join statements, and
+// the ExecutorOracle of tests/executor_oracle.h (the row aggregate and
+// sort the executor replaced) for aggregate, GROUP BY, HAVING and ORDER BY
+// statements, row for row and in order. Rows must match; on failure, the
+// status code and text. The statements are a golden SQL corpus, a seeded
+// 250-query fuzz sweep with a grouped and a sorted variant of each query,
+// a multi-entry join battery, a QUEL corpus (over a wide synthetic
+// relation, where zone-map pruning must fire) and the executor's
+// aggregate, sort and schema-only shapes. Induction holds the columnar
 // implementation to the row reference, rule by rule and stat by stat.
 // A divergence dumps the statement, so the failure is diagnosable from
 // the log alone. Labeled "columnar".
@@ -27,6 +30,7 @@
 #include "sql/sql_executor.h"
 #include "sql/sql_parser.h"
 #include "sql/sqo_rewrite.h"
+#include "tests/executor_oracle.h"
 #include "tests/test_util.h"
 
 namespace iqs {
@@ -42,15 +46,29 @@ std::vector<std::string> Render(const std::vector<Tuple>& rows,
   return out;
 }
 
+bool Aggregated(const SelectStatement& stmt) {
+  return stmt.has_aggregates() || !stmt.group_by.empty() ||
+         stmt.having != nullptr;
+}
+
+Result<std::vector<Tuple>> RowsOf(const Result<Relation>& result) {
+  if (!result.ok()) return result.status();
+  return result->rows();
+}
+
 // Expects `served`, the answer `sql` got, to be the oracle's. A
-// one-entry statement without ORDER BY returns rows in base order, as
-// the oracle does; otherwise the rows compare as multisets.
+// one-entry statement returns rows in base order (or in ORDER BY's), and
+// an aggregate its groups in key order, as the oracle does; otherwise the
+// rows compare as multisets, since the executor's join order is not the
+// oracle's FROM order.
 void ExpectMatchesOracle(const Database& db, const std::string& sql,
                          const Result<std::vector<Tuple>>& served) {
   Result<SelectStatement> stmt = ParseSelect(sql);
   ASSERT_TRUE(stmt.ok()) << sql << ": " << stmt.status();
   Result<std::vector<Tuple>> oracle =
-      testing_util::TupleAtATimeRows(db, *stmt);
+      Aggregated(*stmt) || !stmt->order_by.empty()
+          ? RowsOf(testing_util::ExecutorOracle::Run(db, *stmt))
+          : testing_util::TupleAtATimeRows(db, *stmt);
   ASSERT_EQ(served.ok(), oracle.ok())
       << "status diverged for: " << sql << "\n  served: "
       << (served.ok() ? "ok" : served.status().ToString())
@@ -61,14 +79,9 @@ void ExpectMatchesOracle(const Database& db, const std::string& sql,
         << "error text diverged for: " << sql;
     return;
   }
-  const bool ordered = stmt->from.size() == 1 && stmt->order_by.empty();
+  const bool ordered = stmt->from.size() == 1 || Aggregated(*stmt);
   EXPECT_EQ(Render(*served, ordered), Render(*oracle, ordered))
       << "answer diverged for: " << sql;
-}
-
-Result<std::vector<Tuple>> RowsOf(const Result<Relation>& result) {
-  if (!result.ok()) return result.status();
-  return result->rows();
 }
 
 class ColumnarDifferentialTest : public ::testing::Test {
@@ -144,6 +157,20 @@ const std::vector<std::string>& GoldenCorpus() {
           "ORDER BY Name DESC",
           // Bind error.
           "SELECT Id FROM SUBMARINE WHERE NoSuchColumn = '0204'",
+          // Aggregates, GROUP BY, HAVING and ORDER BY, against the
+          // ExecutorOracle in order.
+          "SELECT Type, COUNT(*) FROM CLASS GROUP BY Type",
+          "SELECT Type, MIN(Displacement), MAX(Displacement), "
+          "SUM(Displacement), AVG(Displacement) FROM CLASS "
+          "WHERE Displacement > 1000 GROUP BY Type ORDER BY Type DESC",
+          "SELECT Class, COUNT(*) FROM SUBMARINE GROUP BY Class "
+          "HAVING COUNT(*) > 1",
+          "SELECT COUNT(*), MIN(Name) FROM SUBMARINE WHERE Class = '9999'",
+          "SELECT CLASS.Type, COUNT(*) FROM SUBMARINE, CLASS "
+          "WHERE SUBMARINE.Class = CLASS.Class GROUP BY CLASS.Type",
+          "SELECT Name FROM SUBMARINE ORDER BY Class DESC",
+          "SELECT DISTINCT Type FROM CLASS ORDER BY Type",
+          "SELECT Type FROM CLASS GROUP BY Type ORDER BY Displacement",
       };
   return *corpus;
 }
@@ -156,9 +183,9 @@ TEST_F(ColumnarDifferentialTest, GoldenCorpusIsAnswerPreserving) {
 }
 
 TEST_F(ColumnarDifferentialTest, AggregatesOverAFilteredScan) {
-  // The oracle evaluates no aggregate: each statement's FROM/WHERE runs
-  // as SELECT * against it, and the aggregate rows are the CLASS table
-  // of Appendix C, counted by hand.
+  // Each statement's FROM/WHERE runs as SELECT * against the tuple
+  // oracle, the aggregate against the ExecutorOracle, and the aggregate
+  // rows are the CLASS table of Appendix C, counted by hand.
   struct AggregateCase {
     const char* sql;
     const char* star;
@@ -176,6 +203,7 @@ TEST_F(ColumnarDifferentialTest, AggregatesOverAFilteredScan) {
   };
   for (const AggregateCase& c : cases) {
     ExpectServedMatchesOracle(c.star);
+    ExpectServedMatchesOracle(c.sql);
     Result<QueryResult> served = Serve(c.sql);
     ASSERT_OK(served.status());
     EXPECT_EQ(Render(served->extensional.rows(), /*ordered=*/true), c.rows)
@@ -311,9 +339,21 @@ class ShipQueryFuzzer {
 };
 
 TEST_F(ColumnarDifferentialTest, SeededFuzzCorpusIsAnswerPreserving) {
+  // Each fuzzed `SELECT col FROM t WHERE ...` also runs grouped by its
+  // column, as a whole-table aggregate, and sorted by its column.
   ShipQueryFuzzer fuzzer(0xC01A7ABUL);
   for (int i = 0; i < 250; ++i) {
-    ExpectServedMatchesOracle(fuzzer.Next());
+    const std::string sql = fuzzer.Next();
+    const size_t from = sql.find(" FROM ");
+    const std::string col = sql.substr(7, from - 7);
+    const std::string rest = sql.substr(from);
+    for (const std::string& variant :
+         {sql, "SELECT " + col + ", COUNT(*)" + rest + " GROUP BY " + col,
+          "SELECT COUNT(" + col + "), MIN(" + col + "), MAX(" + col + ")" +
+              rest,
+          sql + " ORDER BY " + col + " DESC"}) {
+      ExpectServedMatchesOracle(variant);
+    }
     if (HasFailure()) break;
   }
 }
@@ -514,6 +554,204 @@ TEST_F(ColumnarQuelDifferentialTest, ReportsPruningOnNarrowBands) {
   EXPECT_EQ(result->relation.size(), 11u);
   EXPECT_GE(result->columnar_blocks_total, 4u);
   EXPECT_GT(result->columnar_blocks_pruned, 0u);
+}
+
+// ---- aggregates, sorts and schema-only shapes ---------------------------
+
+// FLEET covers the aggregate shapes: two grouping columns, REAL tonnage,
+// string and date extremes, nulls in Tons and Crew, and ties on Type.
+// MIXED holds Int 5 and Real 5.0 in one INT column, which demotes it to
+// kMixed storage.
+std::unique_ptr<Database> AggregateDatabase() {
+  std::unique_ptr<Database> db = testing_util::ShipDatabaseOrFail();
+  if (db == nullptr) return nullptr;
+  EXPECT_OK(db->AddRelation(testing_util::MakeRelation(
+      "FLEET",
+      Schema({{"Name", ValueType::kString, true},
+              {"Type", ValueType::kString, false},
+              {"Yard", ValueType::kString, false},
+              {"Tons", ValueType::kReal, false},
+              {"Commissioned", ValueType::kDate, false},
+              {"Crew", ValueType::kInt, false}}),
+      {{"Ohio", "SSBN", "Groton", "16764.5", "1981-11-11", "155"},
+       {"Typhoon", "SSBN", "Severodvinsk", "48000.25", "1981-12-12", ""},
+       {"Delta", "SSBN", "Severodvinsk", "", "1976-01-30", "130"},
+       {"Alfa", "SSN", "Leningrad", "3200.1", "1977-12-31", "32"},
+       {"Akula", "SSN", "Severodvinsk", "13800.7", "1984-12-30", ""},
+       {"Los Angeles", "SSN", "Newport News", "6927.3", "1976-11-13", "129"},
+       {"Seawolf", "SSN", "Groton", "9138.9", "1997-07-19", "140"},
+       {"Kilo", "SSK", "Leningrad", "3076.0", "", "52"}})));
+  Relation mixed("MIXED", Schema({{"K", ValueType::kInt, false},
+                                  {"X", ValueType::kInt, false}}));
+  mixed.AppendUnchecked(Tuple({Value::Int(1), Value::Real(5.0)}));
+  mixed.AppendUnchecked(Tuple({Value::Int(2), Value::Int(5)}));
+  mixed.AppendUnchecked(Tuple({Value::Int(3), Value::Int(7)}));
+  mixed.AppendUnchecked(Tuple({Value::Int(4), Value::Null()}));
+  EXPECT_OK(db->AddRelation(std::move(mixed)));
+  return db;
+}
+
+class ExecutorOracleTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = AggregateDatabase();
+    ASSERT_NE(db_, nullptr);
+    executor_ = std::make_unique<SqlExecutor>(db_.get());
+  }
+
+  void Check(const std::string& sql) {
+    SCOPED_TRACE(sql);
+    ExpectMatchesOracle(*db_, sql, RowsOf(executor_->ExecuteSql(sql)));
+  }
+
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<SqlExecutor> executor_;
+};
+
+TEST_F(ExecutorOracleTest, AggregateShapesMatchTheRowAggregate) {
+  for (const char* sql : {
+           // GROUP BY two columns.
+           "SELECT Type, Yard, COUNT(*) FROM FLEET GROUP BY Type, Yard",
+           "SELECT Yard, Type, MIN(Name) FROM FLEET GROUP BY Type, Yard "
+           "ORDER BY Yard DESC",
+           // SUM and AVG over REAL, with a null tonnage.
+           "SELECT Type, SUM(Tons), AVG(Tons) FROM FLEET GROUP BY Type",
+           "SELECT SUM(Tons), AVG(Tons), SUM(Crew), AVG(Crew) FROM FLEET",
+           // MIN and MAX over strings and dates.
+           "SELECT MIN(Name), MAX(Name), MIN(Commissioned), "
+           "MAX(Commissioned) FROM FLEET",
+           "SELECT Type, MIN(Commissioned), MAX(Yard) FROM FLEET "
+           "GROUP BY Type",
+           // COUNT(col) over nulls.
+           "SELECT COUNT(*), COUNT(Crew), COUNT(Tons), COUNT(Commissioned) "
+           "FROM FLEET",
+           "SELECT Type, COUNT(Crew) FROM FLEET GROUP BY Type",
+           // An aggregate without GROUP BY over empty input: one row.
+           "SELECT COUNT(*), SUM(Tons), MIN(Name), AVG(Crew) FROM FLEET "
+           "WHERE Tons > 100000.0",
+           // ... and with GROUP BY: no rows.
+           "SELECT Type, COUNT(*) FROM FLEET WHERE Tons > 100000.0 "
+           "GROUP BY Type",
+           // HAVING over aggregate and group columns.
+           "SELECT Type, COUNT(*) FROM FLEET GROUP BY Type "
+           "HAVING COUNT(*) > 1 ORDER BY Type DESC",
+           "SELECT Yard, COUNT(*) FROM FLEET GROUP BY Yard HAVING Yard > 'H'",
+           // A join, grouped on a column of the second entry.
+           "SELECT CLASS.Type, COUNT(*), MAX(SUBMARINE.Name) "
+           "FROM SUBMARINE, CLASS WHERE SUBMARINE.Class = CLASS.Class "
+           "GROUP BY CLASS.Type",
+           // Errors: ungrouped column, SUM over text, SELECT *.
+           "SELECT Name, COUNT(*) FROM FLEET GROUP BY Type",
+           "SELECT SUM(Name) FROM FLEET",
+           "SELECT * FROM FLEET GROUP BY Type",
+       }) {
+    Check(sql);
+    if (HasFailure()) break;
+  }
+}
+
+TEST_F(ExecutorOracleTest, OrderByDescendingKeepsTiesInRowOrder) {
+  for (const char* sql : {
+           "SELECT Name, Type FROM FLEET ORDER BY Type DESC",
+           "SELECT Name FROM FLEET ORDER BY Yard DESC, Type",
+           "SELECT Name, Crew FROM FLEET ORDER BY Crew DESC",
+           "SELECT DISTINCT Type FROM FLEET ORDER BY Type DESC",
+           "SELECT DISTINCT Yard, Type FROM FLEET WHERE Crew > 40 "
+           "ORDER BY Type",
+       }) {
+    Check(sql);
+    if (HasFailure()) break;
+  }
+  // Ties keep base order: SSN sorts above SSK above SSBN.
+  ASSERT_OK_AND_ASSIGN(
+      Relation out,
+      executor_->ExecuteSql("SELECT Name FROM FLEET ORDER BY Type DESC"));
+  EXPECT_EQ(testing_util::ColumnText(out, "Name"),
+            (std::vector<std::string>{"Alfa", "Akula", "Los Angeles",
+                                      "Seawolf", "Kilo", "Ohio", "Typhoon",
+                                      "Delta"}));
+}
+
+TEST_F(ExecutorOracleTest, ThreeEntryCrossProductKeepsFromOrder) {
+  // No conjunct links the entries, so each is crossed in FROM order: the
+  // executor's rows come in the oracle's nested-loop order.
+  const std::string sql =
+      "SELECT f.Name, t.Type, s.Sonar FROM FLEET f, TYPE t, SONAR s "
+      "WHERE f.Crew > 130 AND s.Sonar > 'A'";
+  ASSERT_OK_AND_ASSIGN(SelectStatement stmt, ParseSelect(sql));
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> oracle,
+                       testing_util::TupleAtATimeRows(*db_, stmt));
+  ASSERT_OK_AND_ASSIGN(Relation served, executor_->ExecuteSql(sql));
+  EXPECT_EQ(served.size(), 2u * 2u * 8u);
+  EXPECT_EQ(Render(served.rows(), /*ordered=*/true),
+            Render(oracle, /*ordered=*/true));
+  Check("SELECT COUNT(*) FROM FLEET f, TYPE t, SONAR s");
+  Check("SELECT t.Type, COUNT(*) FROM FLEET f, TYPE t, SONAR s "
+        "WHERE f.Type = t.Type GROUP BY t.Type");
+}
+
+TEST_F(ExecutorOracleTest, IntAndRealFiveAreOneValueInAMixedColumn) {
+  ASSERT_OK_AND_ASSIGN(auto snapshot, db_->ColumnarSnapshot("MIXED"));
+  ASSERT_EQ(snapshot->column(1).storage(), Column::Storage::kMixed);
+  Check("SELECT DISTINCT X FROM MIXED");
+  Check("SELECT X, COUNT(*), MIN(K) FROM MIXED GROUP BY X");
+  Check("SELECT X, SUM(K) FROM MIXED GROUP BY X ORDER BY X DESC");
+  Check("SELECT SUM(X), AVG(X), MIN(X), MAX(X) FROM MIXED");
+  // First occurrences: the Real 5.0 of row 1 stands for both.
+  ASSERT_OK_AND_ASSIGN(Relation distinct,
+                       executor_->ExecuteSql("SELECT DISTINCT X FROM MIXED"));
+  ASSERT_EQ(distinct.size(), 3u);
+  EXPECT_EQ(distinct.row(0).at(0).type(), ValueType::kReal);
+  ASSERT_OK_AND_ASSIGN(
+      Relation grouped,
+      executor_->ExecuteSql("SELECT X, COUNT(*) FROM MIXED GROUP BY X"));
+  ASSERT_EQ(grouped.size(), 3u);  // null, 5, 7
+  EXPECT_EQ(grouped.row(1).at(0).type(), ValueType::kReal);
+  EXPECT_EQ(grouped.row(1).at(1), Value::Int(2));
+  // An equi-join on the mixed column meets both fives.
+  Check("SELECT a.K, b.K FROM MIXED a, MIXED b WHERE a.X = b.X");
+  ASSERT_OK_AND_ASSIGN(
+      Relation joined,
+      executor_->ExecuteSql(
+          "SELECT a.K, b.K FROM MIXED a, MIXED b WHERE a.X = b.X"));
+  EXPECT_EQ(joined.size(), 5u);  // 2 x 2 fives + 7 with itself
+}
+
+TEST_F(ExecutorOracleTest, SchemaOnlyShapesMatchAnEmptyScan) {
+  // ExecuteSchemaOnly reads no rows; its answer is the oracle's over a
+  // database holding every relation's schema and no rows.
+  Database empty;
+  for (const std::string& name : db_->RelationNames()) {
+    ASSERT_OK_AND_ASSIGN(const Relation* rel, db_->Get(name));
+    ASSERT_OK(empty.CreateRelation(name, rel->schema()).status());
+  }
+  for (const char* sql : {
+           "SELECT Name, Tons FROM FLEET WHERE Crew > 100",
+           "SELECT * FROM FLEET",
+           "SELECT DISTINCT Type FROM FLEET ORDER BY Type DESC",
+           "SELECT Type, COUNT(*) FROM FLEET GROUP BY Type",
+           "SELECT COUNT(*), SUM(Tons), MIN(Commissioned) FROM FLEET",
+           "SELECT Type, COUNT(*) FROM FLEET GROUP BY Type "
+           "HAVING COUNT(*) > 1",
+           "SELECT SUBMARINE.Name, CLASS.Type FROM SUBMARINE, CLASS "
+           "WHERE SUBMARINE.Class = CLASS.Class ORDER BY CLASS.Type",
+           "SELECT f.Name, t.Type FROM FLEET f, TYPE t",
+           "SELECT Name, COUNT(*) FROM FLEET GROUP BY Type",
+       }) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(SelectStatement stmt, ParseSelect(sql));
+    Result<Relation> served = executor_->ExecuteSchemaOnly(stmt);
+    Result<Relation> oracle = testing_util::ExecutorOracle::Run(empty, stmt);
+    ASSERT_EQ(served.ok(), oracle.ok())
+        << (served.ok() ? oracle.status() : served.status());
+    EXPECT_EQ(executor_->last_stats().base_rows_loaded, 0u);
+    if (!served.ok()) {
+      EXPECT_EQ(served.status().ToString(), oracle.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(served->schema().attributes(), oracle->schema().attributes());
+    EXPECT_EQ(Render(served->rows(), true), Render(oracle->rows(), true));
+  }
 }
 
 // ---- induction --------------------------------------------------------

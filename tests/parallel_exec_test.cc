@@ -117,10 +117,10 @@ TEST_F(ParallelExecTest, InducedRuleBaseIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelExecTest, SelectionMatchesSerialOnLargeInput) {
-  // 5000 joined rows through the executor's partitioned WHERE filter:
-  // row order must be the serial filter order (concatenation merge in
-  // chunk order). A two-entry FROM keeps the full WHERE out of the scan,
-  // so the filter runs over the cross product.
+  // 5000 joined rows through the executor's residual filter: the output
+  // must not depend on the thread count. In a two-entry FROM the OR is
+  // no scan condition, so it runs over the rows of the cross product,
+  // after the join.
   Database db;
   ASSERT_OK_AND_ASSIGN(
       Relation * rel,

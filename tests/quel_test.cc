@@ -339,6 +339,25 @@ TEST_F(QuelTest, UnknownQualificationAttributeFailsAtBind) {
   EXPECT_EQ(del.status().code(), StatusCode::kNotFound);
 }
 
+TEST_F(QuelTest, IntEqualsRealJoinMeetsPastTenSignificantDigits) {
+  // The QUEL twin of the SQL executor's case: `a.K = b.R` is an equi-join
+  // of the lowered statement, and 1e10 = 10000000000 must meet in it.
+  ASSERT_OK_AND_ASSIGN(
+      Relation * a,
+      db_->CreateRelation("A", Schema({{"K", ValueType::kInt, false}})));
+  ASSERT_OK_AND_ASSIGN(
+      Relation * b,
+      db_->CreateRelation("B", Schema({{"R", ValueType::kReal, false}})));
+  for (int64_t k : {int64_t{5}, int64_t{10000000000}, int64_t{12345678901}}) {
+    ASSERT_OK(a->Insert(Tuple{Value::Int(k)}));
+    ASSERT_OK(b->Insert(Tuple{Value::Real(static_cast<double>(k))}));
+  }
+  Run("range of a is A");
+  Run("range of b is B");
+  Relation joined = Run("retrieve (a.K, b.R) where a.K = b.R");
+  EXPECT_EQ(joined.size(), 3u);
+}
+
 // A join of incomparable attributes fails at bind with ApplyCompare's
 // text, like the same compare in a cross product, whatever the rows.
 TEST_F(QuelTest, JoinOfIncomparableAttributesIsATypeError) {

@@ -175,6 +175,26 @@ TEST_F(SqlExecutorTest, ExecutionStatsMatchFixtureCardinalities) {
   EXPECT_EQ(executor_->last_stats().rows_returned, 2u);
 }
 
+TEST_F(SqlExecutorTest, IntEqualsRealJoinMeetsPastTenSignificantDigits) {
+  // An INT and a REAL that compare equal join, whatever their spellings:
+  // 1e10 renders as "1e+10" and 12345678901.0 as "1.23456789e+10", so a
+  // join keyed on rendered text met only 5 = 5.0.
+  ASSERT_OK_AND_ASSIGN(
+      Relation * a,
+      db_->CreateRelation("A", Schema({{"K", ValueType::kInt, false}})));
+  ASSERT_OK_AND_ASSIGN(
+      Relation * b,
+      db_->CreateRelation("B", Schema({{"R", ValueType::kReal, false}})));
+  for (int64_t k : {int64_t{5}, int64_t{10000000000}, int64_t{12345678901}}) {
+    ASSERT_OK(a->Insert(Tuple{Value::Int(k)}));
+    ASSERT_OK(b->Insert(Tuple{Value::Real(static_cast<double>(k))}));
+  }
+  Relation joined = Run("SELECT K, R FROM A, B WHERE K = R");
+  Relation band = Run("SELECT K, R FROM A, B WHERE K >= R AND K <= R");
+  EXPECT_EQ(joined.size(), 3u);
+  EXPECT_EQ(joined.ToTable(), band.ToTable());
+}
+
 TEST_F(SqlExecutorTest, QueryStatsFlowThroughTheAssembledSystem) {
   auto system = testing_util::ShipSystemOrFail();
   ASSERT_TRUE(system);

@@ -99,11 +99,36 @@ inline std::vector<std::string> ColumnText(const Relation& rel,
   return out;
 }
 
+// The rows of the cross product of `bound`'s FROM entries, walked one
+// tuple at a time in FROM order and laid out as `bound.schema`, that
+// every bound conjunct admits.
+inline Result<std::vector<Tuple>> TupleAtATimeJoin(const BoundQuery& bound) {
+  std::vector<Tuple> combined = {Tuple()};
+  for (const BoundTable& table : bound.tables) {
+    std::vector<Tuple> next;
+    for (const Tuple& left : combined) {
+      for (const Tuple& right : table.relation->rows()) {
+        next.push_back(Tuple::Concat(left, right));
+      }
+    }
+    combined = std::move(next);
+  }
+  std::vector<Tuple> out;
+  for (Tuple& row : combined) {
+    bool keep = true;
+    for (size_t k = 0; k < bound.conjuncts.size() && keep; ++k) {
+      IQS_ASSIGN_OR_RETURN(keep, bound.conjuncts[k].predicate->Eval(row));
+    }
+    if (keep) out.push_back(std::move(row));
+  }
+  return out;
+}
+
 // An executor-independent oracle for select-project-join statements,
-// one tuple at a time: binds `stmt`, walks the cross product of the
-// bound FROM entries in FROM order, keeps each combined row the bound
-// WHERE admits, and projects the select list (DISTINCT keeps first
-// occurrences). Aggregates, GROUP BY and ORDER BY are not evaluated.
+// one tuple at a time: binds `stmt`, keeps the rows of TupleAtATimeJoin,
+// and projects the select list (DISTINCT keeps first occurrences).
+// Aggregates, GROUP BY and ORDER BY are not evaluated; the
+// ExecutorOracle in tests/executor_oracle.h adds them.
 inline Result<std::vector<Tuple>> TupleAtATimeRows(
     const Database& db, const SelectStatement& stmt) {
   IQS_ASSIGN_OR_RETURN(BoundQuery bound, Bind(stmt, db));
@@ -116,23 +141,10 @@ inline Result<std::vector<Tuple>> TupleAtATimeRows(
                          ResolveColumn(bound.schema, item.column));
     columns.push_back(slot);
   }
-  std::vector<Tuple> combined = {Tuple()};
-  for (const BoundTable& table : bound.tables) {
-    std::vector<Tuple> next;
-    for (const Tuple& left : combined) {
-      for (const Tuple& right : table.relation->rows()) {
-        next.push_back(Tuple::Concat(left, right));
-      }
-    }
-    combined = std::move(next);
-  }
+  IQS_ASSIGN_OR_RETURN(std::vector<Tuple> joined, TupleAtATimeJoin(bound));
   std::vector<Tuple> out;
   std::set<Tuple> seen;
-  for (const Tuple& row : combined) {
-    if (bound.where != nullptr) {
-      IQS_ASSIGN_OR_RETURN(bool keep, bound.where->Eval(row));
-      if (!keep) continue;
-    }
+  for (const Tuple& row : joined) {
     Tuple projected;
     for (size_t c : columns) projected.Append(row.at(c));
     if (stmt.distinct && !seen.insert(projected).second) continue;
